@@ -19,7 +19,7 @@ import numpy as np
 from . import selection
 from .errors import (DecompositionError, FitFailureError, NumericalError,
                      StateCollapseError)
-from .matnorm import LOG_2PI, MatNormParams
+from .matnorm import MatNormParams, _chol_inv_logdet, _log_density_states
 from .panel import MatrixPanel
 from .structures import (Scatter, SpectralParts, derive_parts,
                          parse_structure, structure_name, update_psi,
@@ -36,23 +36,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - m), axis=axis))
     return out + np.squeeze(m, axis=axis)
-
-
-def _stack_chol_inv_logdet(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse Cholesky factors and log-determinants of a stack of SPD matrices."""
-    try:
-        L = np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        for k in range(mats.shape[0]):  # identify the offending state
-            try:
-                np.linalg.cholesky(mats[k])
-            except np.linalg.LinAlgError:
-                raise DecompositionError(
-                    f"{what} {k + 1} is not positive definite") from None
-        raise
-    L_inv = np.linalg.inv(L)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-    return L_inv, logdets
 
 
 @dataclass(frozen=True)
@@ -178,16 +161,14 @@ class CmStep1Result(NamedTuple):
 
 def _log_phi(X: np.ndarray, params: HmmParams) -> np.ndarray:
     """State-conditional log-densities of every observation, (I, T, K)."""
-    P, R = params.P, params.R
-    LS_inv, logdet_S = _stack_chol_inv_logdet(params.sigmas, "row covariance")
-    LP_inv, logdet_P = _stack_chol_inv_logdet(params.psis, "column covariance")
-    Xc = X[None] - params.means[:, None, None]          # (K, I, T, P, R)
-    half = np.einsum("kpq,kitqr->kitpr", LS_inv, Xc)
-    white = np.einsum("kitpr,ksr->kitps", half, LP_inv)
-    quad = np.einsum("kitps,kitps->kit", white, white)
-    out = -0.5 * (P * R * LOG_2PI + R * logdet_S[:, None, None]
-                  + P * logdet_P[:, None, None] + quad)
-    return np.ascontiguousarray(np.moveaxis(out, 0, 2))
+    return _log_density_states(X, params.means, params.sigmas, params.psis)
+
+
+def _as_stack(panel_or_stack) -> np.ndarray:
+    """The (I, T, P, R) observation array of a panel, or of an array given as one."""
+    if isinstance(panel_or_stack, MatrixPanel):
+        return panel_or_stack.unit_time_stack()
+    return np.asarray(panel_or_stack, dtype=float)
 
 
 def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
@@ -248,6 +229,22 @@ def _jittered(mat: np.ndarray, enabled: bool) -> np.ndarray:
         return sym + (1e-10 * np.trace(sym) / Q) * np.eye(Q)
 
 
+def _scatter(X: np.ndarray, z: np.ndarray, means: np.ndarray, covs: np.ndarray,
+             what: str, jitter: bool) -> np.ndarray:
+    """Per-state weighted scatter sum_it z_itk (X_it - M_k) C_k^-1 (X_it - M_k)'.
+
+    With the column covariances as C this is the row scatter Y_k of the
+    first CM step; on transposed matrices and means with the row
+    covariances as C it is the column scatter W_k of the second.
+    """
+    L_inv, _ = _chol_inv_logdet(covs, what)
+    inv = np.einsum("ksr,kst->krt", L_inv, L_inv)
+    Xc = X[None] - means[:, None, None]                 # (K, I, T, P, R)
+    half = np.einsum("kitpr,krs->kitps", Xc, inv)
+    raw = np.einsum("itk,kitps,kitqs->kpq", z, half, Xc)
+    return np.stack([_jittered(mat, jitter) for mat in raw])
+
+
 def _state_weights(z: np.ndarray) -> np.ndarray:
     I, T, _ = z.shape
     weights = z.sum(axis=(0, 1))
@@ -271,13 +268,11 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
     carry the previous volume/orientation split; when omitted it is
     derived from ``prev``.
     """
-    X = panel_or_stack.unit_time_stack() if isinstance(panel_or_stack, MatrixPanel) \
-        else np.asarray(panel_or_stack, dtype=float)
+    X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
     z, zz = post.z, post.zz
 
     weights = _state_weights(z)
-    K = prev.K
     pi = z[:, 0, :].sum(axis=0) / I
     if T > 1:
         trans = zz[:, 1:].sum(axis=(0, 1))
@@ -292,13 +287,7 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
 
     means = np.einsum("itk,itpr->kpr", z, X) / weights[:, None, None]
 
-    L_inv, _ = _stack_chol_inv_logdet(prev.psis, "column covariance")
-    psi_inv = np.einsum("ksr,kst->krt", L_inv, L_inv)
-    Xc = X[None] - means[:, None, None]                 # (K, I, T, P, R)
-    half = np.einsum("kitpr,krs->kitps", Xc, psi_inv)
-    Y_raw = np.einsum("itk,kitps,kitqs->kpq", z, half, Xc)
-    Y = np.stack([_jittered(Y_raw[k], jitter) for k in range(K)])
-
+    Y = _scatter(X, z, means, prev.psis, "column covariance Psi", jitter)
     if warm is None:
         warm = derive_parts(prev.sigmas)
     sigmas, parts = update_sigma(sigma_structure, Scatter(Y, weights), warm,
@@ -310,20 +299,11 @@ def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
              psi_structure: str, warm: SpectralParts | None = None,
              jitter: bool = True) -> tuple[np.ndarray, SpectralParts | None]:
     """Update the column covariances given freshly updated row covariances."""
-    X = panel_or_stack.unit_time_stack() if isinstance(panel_or_stack, MatrixPanel) \
-        else np.asarray(panel_or_stack, dtype=float)
+    X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
-    z = post.z
-    weights = _state_weights(z)
-    K = current.K
-
-    L_inv, _ = _stack_chol_inv_logdet(current.sigmas, "row covariance")
-    sigma_inv = np.einsum("ksp,ksq->kpq", L_inv, L_inv)
-    Xc = X[None] - current.means[:, None, None]         # (K, I, T, P, R)
-    half = np.einsum("kpq,kitqs->kitps", sigma_inv, Xc)
-    W_raw = np.einsum("itk,kitpr,kitps->krs", z, Xc, half)
-    W = np.stack([_jittered(W_raw[k], jitter) for k in range(K)])
-
+    weights = _state_weights(post.z)
+    W = _scatter(np.swapaxes(X, 2, 3), post.z, np.swapaxes(current.means, 1, 2),
+                 current.sigmas, "row covariance Sigma", jitter)
     if warm is None:
         warm = derive_parts(current.psis)
     return update_psi(psi_structure, Scatter(W, weights), warm, (P, R, I, T))
@@ -379,10 +359,13 @@ def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
                              jitter=config.jitter)
             params = HmmParams(step1.pi, step1.Pi, step1.means, step1.sigmas,
                                params.psis)
-            psis, psi_parts = cm_step2(X, post, params, psi_structure,
-                                       warm=psi_parts, jitter=config.jitter)
+            psis, parts = cm_step2(X, post, params, psi_structure,
+                                   warm=psi_parts, jitter=config.jitter)
             params = replace(params, psis=psis)
-            sigma_parts = step1.parts
+            # structures that keep no parts never read them, so the last
+            # parts stay valid warm starts and need no re-derivation
+            sigma_parts = step1.parts or sigma_parts
+            psi_parts = parts or psi_parts
             post = _e_step_arrays(X, params)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
@@ -436,8 +419,7 @@ def expected_complete_loglik(panel_or_stack, post: Posteriors,
     Sum of the initial-state, transition and observation terms with the
     indicator variables replaced by their smoothed expectations.
     """
-    X = panel_or_stack.unit_time_stack() if isinstance(panel_or_stack, MatrixPanel) \
-        else np.asarray(panel_or_stack, dtype=float)
+    X = _as_stack(panel_or_stack)
     z, zz = post.z, post.zz
     with np.errstate(divide="ignore"):
         log_pi = np.log(params.pi)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DecompositionError
 
@@ -60,19 +59,43 @@ class MatNormParams:
         return self.M.shape[1]
 
 
-def _cholesky(mat: np.ndarray, name: str) -> np.ndarray:
+def _cholesky(mats: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factors of a (K, Q, Q) stack of positive-definite matrices.
+
+    A failure raises :class:`DecompositionError` naming the state whose
+    smallest eigenvalue is lowest (no state number when K is 1).
+    """
     try:
-        return np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        raise DecompositionError(f"{name} is not positive definite") from None
+        k = int(np.argmin(np.linalg.eigvalsh(mats)[:, 0]))
+        where = "" if len(mats) == 1 else f" of state {k + 1}"
+        raise DecompositionError(f"{what}{where} is not positive definite") from None
 
 
-def _chol_inv_logdet(mat: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """Inverse of the lower Cholesky factor and the log-determinant."""
-    L = _cholesky(mat, name)
-    L_inv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return L_inv, logdet
+def _chol_inv_logdet(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse lower Cholesky factors and log-determinants of a (K, Q, Q) stack."""
+    L = _cholesky(mats, what)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    return np.linalg.inv(L), logdets
+
+
+def _log_density_states(Xs: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
+                        psis: np.ndarray) -> np.ndarray:
+    """Log-densities of a stack of matrices under each of K parameter sets.
+
+    ``Xs`` is (..., P, R) and ``means``, ``sigmas``, ``psis`` are (K, P, R),
+    (K, P, P), (K, R, R) stacks; the result has shape (..., K).
+    """
+    _, P, R = means.shape
+    LS_inv, logdet_S = _chol_inv_logdet(sigmas, "row covariance Sigma")
+    LP_inv, logdet_P = _chol_inv_logdet(psis, "column covariance Psi")
+    Xc = Xs[..., None, :, :] - means                    # (..., K, P, R)
+    # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2
+    half = np.einsum("kpq,...kqr->...kpr", LS_inv, Xc)
+    white = np.einsum("...kpr,ksr->...kps", half, LP_inv)
+    quad = np.einsum("...kps,...kps->...k", white, white)
+    return -0.5 * (P * R * LOG_2PI + R * logdet_S + P * logdet_P + quad)
 
 
 def log_density_stack(Xs: np.ndarray, M: np.ndarray, Sigma: np.ndarray,
@@ -90,15 +113,7 @@ def log_density_stack(Xs: np.ndarray, M: np.ndarray, Sigma: np.ndarray,
     ndarray with the leading shape of ``Xs``.
     """
     Xs = np.asarray(Xs, dtype=float)
-    P, R = M.shape
-    LS_inv, logdet_S = _chol_inv_logdet(Sigma, "Sigma")
-    LP_inv, logdet_P = _chol_inv_logdet(Psi, "Psi")
-    Xc = Xs - M
-    # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2
-    half = np.einsum("pq,...qr->...pr", LS_inv, Xc)
-    whitened = np.einsum("...pr,sr->...ps", half, LP_inv)
-    quad = np.einsum("...ps,...ps->...", whitened, whitened)
-    return -0.5 * (P * R * LOG_2PI + R * logdet_S + P * logdet_P + quad)
+    return _log_density_states(Xs, M[None], Sigma[None], Psi[None])[..., 0]
 
 
 def log_density(X: np.ndarray, params: MatNormParams) -> float:
@@ -115,8 +130,8 @@ def sample(params: MatNormParams, rng: np.random.Generator, size: int | None = N
     ``size=None`` returns one (P, R) matrix; an integer returns a
     (size, P, R) stack.  Deterministic given the generator state.
     """
-    A = _cholesky(params.Sigma, "Sigma")
-    B = _cholesky(params.Psi, "Psi")
+    A = _cholesky(params.Sigma[None], "row covariance Sigma")[0]
+    B = _cholesky(params.Psi[None], "column covariance Psi")[0]
     shape = (params.P, params.R) if size is None else (size, params.P, params.R)
     Z = rng.standard_normal(shape)
     return params.M + np.einsum("pq,...qr,sr->...ps", A, Z, B)

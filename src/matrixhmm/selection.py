@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ecm
-from .errors import GridError
+from .errors import FitError, GridError
 from .panel import MatrixPanel
 from .structures import (PSI_STRUCTURES, SIGMA_STRUCTURES, all_structure_pairs,
                          count_psi_params, count_sigma_params, parse_structure,
@@ -109,11 +109,20 @@ def _fit_cell(args) -> CellResult:
     start = time.perf_counter()
     try:
         report = ecm.fit(panel, pair, K, config)
-    except Exception as exc:  # a failed cell never takes the grid down
+    except (FitError, ValueError) as exc:  # a failed fit never takes the grid down
         return CellResult(pair, K, "failed", np.nan, n_free_params(pair, K, panel.P, panel.R),
                           np.nan, time.perf_counter() - start, message=str(exc))
     return CellResult(pair, K, "ok", report.log_lik, report.n_params, report.bic,
                       time.perf_counter() - start, report=report)
+
+
+def _map(fn, tasks, workers: int) -> list:
+    """``fn`` applied to every task, results in task order: in-process for
+    one worker, otherwise on a pool of ``workers`` processes."""
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
 
 
 def bic_winner(cells, n_obs: int):
@@ -138,12 +147,7 @@ def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> Selection
     for pair, K in grid.cells():
         config = replace(grid.config, seed=cell_seed(grid.config.seed, pair, K))
         tasks.append((panel, pair, K, config))
-
-    if workers == 1:
-        cells = [_fit_cell(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_fit_cell, tasks, chunksize=1))
+    cells = _map(_fit_cell, tasks, workers)
 
     ok = [c for c in cells if c.status == "ok"]
     failures = tuple(f"{structure_name(c.structure)} K={c.K}: {c.message}"
@@ -159,5 +163,9 @@ def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> Selection
         warnings.append(
             "winner differs under the alternate sample-size convention "
             f"(n = I): {structure_name(alt.structure)} K={alt.K}")
+    warnings.extend(
+        f"{structure_name(c.structure)} K={c.K} did not converge within "
+        f"max_iter={grid.config.max_iter} iterations"
+        for c in ok if not c.report.converged)
     return SelectionReport(tuple(cells), (best_cell.structure, best_cell.K),
                            n_obs, failures, tuple(warnings))

@@ -95,13 +95,13 @@ def generate(scenario: Scenario, replicate: int, seed: int = DEFAULT_SEED
 
     Z = rng.standard_normal((I, T, P, R))
     X = np.empty((I, T, P, R))
+    A = _cholesky(truth.sigmas, "row covariance")
+    B = _cholesky(truth.psis, "column covariance")
     for k in range(K):
         mask = states == k
         if not np.any(mask):
             continue
-        A = _cholesky(truth.sigmas[k], f"state {k + 1} row covariance")
-        B = _cholesky(truth.psis[k], f"state {k + 1} column covariance")
-        X[mask] = truth.means[k] + np.einsum("pq,nqr,sr->nps", A, Z[mask], B)
+        X[mask] = truth.means[k] + np.einsum("pq,nqr,sr->nps", A[k], Z[mask], B[k])
 
     panel = MatrixPanel(np.transpose(X, (2, 3, 0, 1)))
     return panel, states + 1
@@ -227,19 +227,8 @@ def run_scenario(scenario: Scenario, config: FitConfig | None = None,
                  seed: int = DEFAULT_SEED, workers: int = 1) -> RecoveryReport:
     """Generate, fit and score every replicate of one scenario."""
     config = config or FitConfig()
-    fits: list[FitReport] = []
-    if workers <= 1:
-        for rep in range(scenario.replicates):
-            panel, _ = generate(scenario, rep, seed)
-            rep_config = replace(config, seed=_replicate_seed(seed, scenario, rep))
-            fits.append(fit(panel, scenario.structure, scenario.K, rep_config))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(scenario, rep, seed, config) for rep in range(scenario.replicates)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(_fit_replicate, tasks, chunksize=1))
-    return recovery_mse(fits, scenario)
+    tasks = [(scenario, rep, seed, config) for rep in range(scenario.replicates)]
+    return recovery_mse(selection._map(_fit_replicate, tasks, workers), scenario)
 
 
 def _replicate_seed(seed: int, scenario: Scenario, replicate: int) -> int:

@@ -5,14 +5,15 @@ with volume ``lambda = det^(1/Q)``, orthogonal orientation ``Gamma`` and
 positive diagonal shape ``Delta`` of unit product.  A three-letter tag
 fixes which of the components are shared across states (E), vary by state
 (V), or degenerate (I = identity / axis-aligned); the row family has 14
-members and the column family, whose volume is pinned by the unit
-determinant restriction, has 7.
+members.  The column family has 7: each is a row structure with its volume
+pinned to one by the unit determinant restriction, and is updated as that
+row structure with the volumes divided out.
 
 Updates take per-state weighted scatter matrices and return the argmax of
 the conditionally maximized complete-data log-likelihood.  Shared
-orientations with varying shapes (EVE, VVE, VE) have no closed form and
+orientations with varying shapes (EVE, VVE) have no closed form and
 use an iterative minorization-maximization step; shared shapes with
-varying orientations (EEV, VEV, EV) use per-state eigendecompositions
+varying orientations (EEV, VEV) use per-state eigendecompositions
 with descending eigenvalue order.
 """
 
@@ -28,6 +29,9 @@ from .errors import DecompositionError
 SIGMA_STRUCTURES = ("EII", "VII", "EEI", "VEI", "EVI", "VVI", "EEE",
                     "VEE", "EVE", "VVE", "EEV", "VEV", "EVV", "VVV")
 PSI_STRUCTURES = ("II", "EI", "VI", "EE", "VE", "EV", "VV")
+# the row structure each column structure equals once its volume is pinned
+_PSI_AS_SIGMA = {"II": "EII", "EI": "EEI", "VI": "VVI", "EE": "EEE",
+                "VE": "VVE", "EV": "EEV", "VV": "VVV"}
 
 MM_MAX_ITER = 100
 MM_TOL = 1e-8
@@ -71,8 +75,8 @@ class SpectralParts:
     """Volume / orientation / shape split carried between iterations.
 
     Only the components a structure re-reads are meaningful: the volumes
-    ``lam`` for VEI, VEE and VEV, the shared orientation ``Gamma`` plus
-    shapes ``Delta`` for EVE, VVE and VE.
+    ``lam`` for VEI, VEE, VVE and VEV, the shared orientation ``Gamma`` plus
+    shapes ``Delta`` for EVE and VVE.
     """
 
     lam: np.ndarray    # (K,)
@@ -115,12 +119,13 @@ def _geomean(d: np.ndarray, what: str) -> np.ndarray:
     return np.exp(np.mean(np.log(d), axis=-1))
 
 
-def _det_root(mat: np.ndarray, what: str) -> float:
-    """det(mat)^(1/Q) for a positive-definite matrix."""
+def _det_root(mat: np.ndarray, what: str):
+    """det^(1/Q) of a positive-definite matrix, or of each in a (K, Q, Q) stack."""
     sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0.0:
-        raise DecompositionError(f"{what} is not positive definite")
-    return float(np.exp(logdet / mat.shape[-1]))
+    if np.any(sign <= 0.0):
+        where = "" if mat.ndim == 2 else f" {np.flatnonzero(sign <= 0.0)[0] + 1}"
+        raise DecompositionError(f"{what}{where} is not positive definite")
+    return np.exp(logdet / mat.shape[-1])
 
 
 def _eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +201,7 @@ def derive_parts(covariances: np.ndarray) -> SpectralParts:
     """
     covs = np.asarray(covariances, dtype=float)
     K, Q, _ = covs.shape
-    lam = np.array([_det_root(covs[k], f"covariance {k + 1}") for k in range(K)])
+    lam = _det_root(covs, "covariance")
     _, Gamma = _eigh_descending(covs[0])
     Delta = np.einsum("pq,kpr,rq->kq", Gamma, covs, Gamma) / lam[:, None]
     Delta = np.maximum(Delta, 1e-300)
@@ -216,8 +221,8 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
         covariances) and state weights.
     prev : SpectralParts or None
         Previous volume/orientation/shape split; ``None`` stands for
-        identity covariances.  Read only by VEI, VEE, VEV (volumes) and
-        EVE, VVE (orientation warm start).
+        identity covariances.  Read only by VEI, VEE, VVE, VEV (volumes)
+        and EVE, VVE (orientation warm start).
     dims : (P, R, I, T) panel dimensions.
 
     Returns
@@ -248,7 +253,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
 
     if structure == "EEI":
         d = np.diagonal(Y.sum(axis=0))
-        gm = _geomean(d, "pooled row scatter")
+        gm = _geomean(d, "pooled scatter")
         delta = d / gm
         lam = gm / (R * n_total)
         sig = lam * np.diag(delta)
@@ -256,7 +261,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
 
     if structure == "VEI":
         pooled = np.diagonal((Y / prev_lam[:, None, None]).sum(axis=0))
-        gm = _geomean(pooled, "volume-scaled row scatter")
+        gm = _geomean(pooled, "volume-scaled scatter")
         delta = pooled / gm
         lam = np.diagonal(Y, axis1=1, axis2=2) @ (1.0 / delta) / (P * R * w)
         _require_positive(lam, "VEI volumes")
@@ -265,7 +270,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
 
     if structure == "EVI":
         d = np.diagonal(Y, axis1=1, axis2=2)
-        gm = _geomean(d, "row scatter")
+        gm = _geomean(d, "scatter")
         deltas = d / gm[:, None]
         lam = float(np.sum(gm) / (R * n_total))
         sigmas = lam * np.einsum("kq,pq->kpq", deltas, eye)
@@ -273,7 +278,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
 
     if structure == "VVI":
         d = np.diagonal(Y, axis1=1, axis2=2)
-        gm = _geomean(d, "row scatter")
+        gm = _geomean(d, "scatter")
         deltas = d / gm[:, None]
         lam = gm / (R * w)
         sigmas = lam[:, None, None] * np.einsum("kq,pq->kpq", deltas, eye)
@@ -288,7 +293,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     if structure == "VEE":
         pooled = (Y / prev_lam[:, None, None]).sum(axis=0)
         pooled = 0.5 * (pooled + pooled.T)
-        C = pooled / _det_root(pooled, "volume-scaled row scatter")
+        C = pooled / _det_root(pooled, "volume-scaled scatter")
         C_inv = np.linalg.inv(C)
         lam = np.einsum("pq,kqp->k", C_inv, Y) / (P * R * w)
         _require_positive(lam, "VEE volumes")
@@ -298,9 +303,12 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     if structure in ("EVE", "VVE"):
         init = prev.Gamma[0] if prev is not None else eye
         prev_delta = prev.Delta if prev is not None else np.ones((K, P))
-        Gamma = mm_orientation(Y, prev_delta, init).Gamma
+        # with state volumes the orientation target is sum_k tr(Y_k Gamma
+        # Delta_k^-1 Gamma')/lam_k; a common volume does not move its argmin
+        target = Y / prev_lam[:, None, None] if structure == "VVE" else Y
+        Gamma = mm_orientation(target, prev_delta, init).Gamma
         rotated = np.einsum("pq,kpr,rq->kq", Gamma, Y, Gamma)
-        gm = _geomean(rotated, "rotated row scatter")
+        gm = _geomean(rotated, "rotated scatter")
         deltas = rotated / gm[:, None]
         if structure == "EVE":
             lam_k = np.full(K, float(np.sum(rotated / deltas) / (P * R * n_total)))
@@ -328,7 +336,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
         return sigmas, parts if structure == "VEV" else None
 
     if structure == "EVV":
-        roots = np.array([_det_root(Y[k], f"row scatter {k + 1}") for k in range(K)])
+        roots = _det_root(Y, "scatter")
         C = Y / roots[:, None, None]
         lam = float(np.sum(roots) / (R * n_total))
         return lam * C, None
@@ -336,8 +344,7 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     # VVV, the unconstrained case
     sigmas = Y / (R * w)[:, None, None]
     sigmas = 0.5 * (sigmas + np.transpose(sigmas, (0, 2, 1)))
-    for k in range(K):
-        _det_root(sigmas[k], f"VVV covariance {k + 1}")
+    _det_root(sigmas, "VVV covariance")
     return sigmas, None
 
 
@@ -346,56 +353,30 @@ def update_psi(structure: str, scatter: Scatter, prev: SpectralParts | None,
     """Conditional-maximization update of the per-state column covariances.
 
     The column scatter matrices W_k must be built against the freshly
-    updated row covariances.  Every output has unit determinant; the
-    identity structure II estimates nothing.
+    updated row covariances.  Each column structure is a row structure
+    with unit volume (EI is EEI, VI is VVI, EE is EEE, VE is VVE, EV is
+    EEV, VV is VVV): that row update runs with the dimensions swapped and
+    each state is divided by det^(1/R), so every output has unit
+    determinant.  The identity structure II estimates nothing.
     """
     if structure not in PSI_STRUCTURES:
         raise ValueError(f"unknown column structure {structure!r}")
-    W, w = _check_scatter(scatter)
+    W, _ = _check_scatter(scatter)
     K, Q, _ = W.shape
-    R = dims[1]
+    P, R, I, T = dims
     if Q != R:
         raise ValueError(f"scatter dimension {Q} does not match R={R}")
-    eye = np.eye(R)
-
     if structure == "II":
-        return np.tile(eye, (K, 1, 1)), None
-
-    if structure == "EI":
-        d = np.diagonal(W.sum(axis=0))
-        delta = d / _geomean(d, "pooled column scatter")
-        return np.tile(np.diag(delta), (K, 1, 1)), None
-
-    if structure == "VI":
-        d = np.diagonal(W, axis1=1, axis2=2)
-        deltas = d / _geomean(d, "column scatter")[:, None]
-        return np.einsum("kq,pq->kpq", deltas, eye), None
-
-    if structure == "EE":
-        pooled = W.sum(axis=0)
-        pooled = 0.5 * (pooled + pooled.T)
-        psi = pooled / _det_root(pooled, "pooled column scatter")
-        return np.tile(psi, (K, 1, 1)), None
-
-    if structure == "VE":
-        init = prev.Gamma[0] if prev is not None else eye
-        prev_delta = prev.Delta if prev is not None else np.ones((K, R))
-        Gamma = mm_orientation(W, prev_delta, init).Gamma
-        rotated = np.einsum("pq,kpr,rq->kq", Gamma, W, Gamma)
-        deltas = rotated / _geomean(rotated, "rotated column scatter")[:, None]
-        psis = np.einsum("pq,kq,rq->kpr", Gamma, deltas, Gamma)
-        return psis, _shared_parts(np.ones(K), Gamma, deltas, K)
-
-    if structure == "EV":
-        omega, L = _eigh_descending(W)
-        pooled = omega.sum(axis=0)
-        delta = pooled / _geomean(pooled, "pooled eigenvalues")
-        return np.einsum("kpq,q,krq->kpr", L, delta, L), None
-
-    # VV, the unconstrained unit-determinant case
-    roots = np.array([_det_root(W[k], f"column scatter {k + 1}") for k in range(K)])
-    psis = W / roots[:, None, None]
-    return 0.5 * (psis + np.transpose(psis, (0, 2, 1))), None
+        return np.tile(np.eye(R), (K, 1, 1)), None
+    try:
+        covs, parts = update_sigma(_PSI_AS_SIGMA[structure], scatter, prev, (R, P, I, T))
+        roots = _det_root(covs, "covariance")
+    except DecompositionError as exc:
+        raise DecompositionError(f"column structure {structure}: {exc}") from None
+    psis = covs / roots[:, None, None]
+    if parts is not None:
+        parts = SpectralParts(np.ones(K), parts.Gamma, parts.Delta)
+    return psis, parts
 
 
 def _require_positive(value, what: str) -> None:
@@ -428,17 +409,9 @@ def count_sigma_params(structure: str, K: int, Q: int) -> int:
 
 
 def count_psi_params(structure: str, K: int, Q: int) -> int:
-    """Free parameters in the K unit-determinant column covariance matrices."""
+    """Free parameters in the K unit-determinant column covariance matrices:
+    those of the matching row structure less its pinned volumes."""
     if structure not in PSI_STRUCTURES:
         raise ValueError(f"unknown column structure {structure!r}")
-    orient = Q * (Q - 1) // 2
-    counts = {
-        "II": 0,
-        "EI": Q - 1,
-        "VI": K * (Q - 1),
-        "EE": Q * (Q + 1) // 2 - 1,
-        "VE": orient + K * (Q - 1),
-        "EV": K * orient + Q - 1,
-        "VV": K * Q * (Q + 1) // 2 - K,
-    }
-    return counts[structure]
+    sigma = _PSI_AS_SIGMA[structure]
+    return count_sigma_params(sigma, K, Q) - (K if sigma[0] == "V" else 1)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import matrixhmm as mh
+from matrixhmm import ecm
 from matrixhmm.ecm import _e_step_arrays, cm_step1, cm_step2
+from matrixhmm.structures import derive_parts
 from oracles import brute_force_log_lik, check_posteriors, random_hmm_params
 
 
@@ -114,6 +116,18 @@ def test_e_step_rejects_non_finite_parameters():
                           np.where(np.isnan(params.means), 0, params.means) * np.nan,
                           params.sigmas, params.psis)
     with pytest.raises(mh.NumericalError):
+        mh.e_step(panel, broken)
+
+
+def test_e_step_names_the_state_with_a_non_positive_definite_covariance():
+    rng = np.random.default_rng(23)
+    panel = small_panel(rng)
+    params = random_hmm_params(3, 2, 2, rng)
+    sigmas = params.sigmas.copy()
+    sigmas[1] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    broken = mh.HmmParams(params.pi, params.Pi, params.means, sigmas, params.psis)
+    with pytest.raises(mh.DecompositionError,
+                       match="row covariance Sigma of state 2"):
         mh.e_step(panel, broken)
 
 
@@ -293,6 +307,23 @@ def test_fit_trace_monotone_and_posteriors_normalized():
     assert np.all(np.diff(report.log_lik_trace) >= -1e-8)
     check_posteriors(report.posteriors)
     assert np.max(np.abs(np.linalg.det(report.params.psis) - 1.0)) < 1e-10
+
+
+def test_fit_derives_spectral_parts_only_when_a_run_starts(monkeypatch):
+    rng = np.random.default_rng(24)
+    panel, _ = two_state_panel(rng, I=40, T=4, sep=2.0)
+    calls = []
+
+    def counting(covs):
+        calls.append(covs.shape)
+        return derive_parts(covs)
+
+    monkeypatch.setattr(ecm, "derive_parts", counting)
+    config = mh.FitConfig(short_runs=3, seed=5)
+    report = mh.fit(panel, "EII-II", 2, config)
+    assert report.iterations >= 3
+    # at most a row and a column derivation per run: 3 short runs, 1 long
+    assert len(calls) <= 2 * (config.short_runs + 1)
 
 
 def test_fit_all_starts_fail():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import matrixhmm as mh
+from matrixhmm import ecm
 from matrixhmm.selection import CellResult, bic_winner, cell_seed
 
 
@@ -81,6 +82,34 @@ def test_failed_cell_is_recorded_not_fatal():
     assert statuses[5] == "failed"
     assert report.best == (("EII", "II"), 1)
     assert len(report.failures) == 1
+
+
+def test_programming_errors_propagate_out_of_the_grid(monkeypatch):
+    rng = np.random.default_rng(5)
+    panel = separated_panel(rng, I=4, T=2)
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the fit")
+
+    monkeypatch.setattr(ecm, "fit", broken)
+    grid = mh.ModelGrid(structures=(("EII", "II"),), Ks=(1,))
+    with pytest.raises(TypeError, match="bug in the fit"):
+        mh.run_grid(panel, grid, workers=1)
+
+
+def test_unconverged_cells_are_reported_as_warnings():
+    rng = np.random.default_rng(6)
+    panel = separated_panel(rng, I=20, T=4)
+    grid = mh.ModelGrid(structures=(("EII", "II"), ("VVV", "VV")), Ks=(1, 2),
+                        config=mh.FitConfig(short_runs=3, max_iter=2))
+    report = mh.run_grid(panel, grid)
+    unconverged = [c for c in report.cells
+                   if c.status == "ok" and not c.report.converged]
+    assert unconverged
+    for cell in unconverged:
+        assert (f"{mh.structure_name(cell.structure)} K={cell.K} did not converge "
+                f"within max_iter=2 iterations") in report.warnings
+    assert sum("did not converge" in w for w in report.warnings) == len(unconverged)
 
 
 def test_grid_error_when_everything_fails():

@@ -104,6 +104,21 @@ def test_eev_recovers_known_eigenvalues():
         assert np.allclose(sigmas[k], expected, atol=1e-10)
 
 
+def test_vve_chained_updates_never_lower_the_objective():
+    # unequal state scales make the orientation step depend on the volumes
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        sc = random_scatter(2, 3, rng)
+        sc = Scatter(sc.matrices * np.array([1.0, 50.0])[:, None, None], sc.weights)
+        sig, parts = update_sigma("VVE", sc, None, DIMS)
+        before = sigma_objective(sig, sc.matrices, sc.weights, DIMS[1])
+        for _ in range(3):
+            sig, parts = update_sigma("VVE", sc, parts, DIMS)
+            after = sigma_objective(sig, sc.matrices, sc.weights, DIMS[1])
+            assert after >= before - 1e-9 * abs(before), seed
+            before = after
+
+
 def test_every_sigma_update_is_spd_with_shared_parts():
     rng = np.random.default_rng(4)
     for structure in SIGMA_STRUCTURES:
