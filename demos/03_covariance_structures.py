@@ -1,7 +1,8 @@
 """Tour of the parsimonious covariance family.
 
-Row covariances come in 14 flavors of the volume/shape/orientation split;
-column covariances, pinned to unit determinant, come in 7.  This script
+Column covariances, pinned to unit determinant, come in 7 shape/orientation
+structures (II ... VV).  A row structure puts a volume letter, E (shared) or
+V (varying), in front of one of them, giving 14 (EII ... VVV).  This script
 prints the free-parameter table, runs one weighted update per family
 member, and shows the iterative orientation step used by the shared-
 orientation structures.

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import reports, selection, simulate
 from .ecm import DEFAULT_SEED, FitConfig, fit
+from .errors import FitError, GridError
 from .panel import load_panel, logit_transform
 from .structures import all_structure_pairs, parse_structure, structure_name
 
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (FitError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

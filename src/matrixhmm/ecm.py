@@ -109,14 +109,13 @@ class Posteriors:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of one fit: convergence, initialization and numeric policy."""
+    """Knobs of one fit: convergence, initialization and a per-iteration hook."""
 
     max_iter: int = 500
     tol: float = 1e-8
     short_runs: int = 100
     short_iters: int = 1
     seed: int = DEFAULT_SEED
-    jitter: bool = True
     iter_hook: Callable | None = None
 
     def __post_init__(self):
@@ -216,11 +215,9 @@ def e_step(panel: MatrixPanel, params: HmmParams) -> Posteriors:
     return _e_step_arrays(panel.unit_time_stack(), params)
 
 
-def _jittered(mat: np.ndarray, enabled: bool) -> np.ndarray:
-    """Symmetrize a scatter matrix, nudging rank-deficient ones when allowed."""
+def _jittered(mat: np.ndarray) -> np.ndarray:
+    """Symmetrize a scatter matrix, nudging rank-deficient ones."""
     sym = 0.5 * (mat + mat.T)
-    if not enabled:
-        return sym
     try:
         np.linalg.cholesky(sym)
         return sym
@@ -230,7 +227,7 @@ def _jittered(mat: np.ndarray, enabled: bool) -> np.ndarray:
 
 
 def _scatter(X: np.ndarray, z: np.ndarray, means: np.ndarray, covs: np.ndarray,
-             what: str, jitter: bool) -> np.ndarray:
+             what: str) -> np.ndarray:
     """Per-state weighted scatter sum_it z_itk (X_it - M_k) C_k^-1 (X_it - M_k)'.
 
     With the column covariances as C this is the row scatter Y_k of the
@@ -242,7 +239,7 @@ def _scatter(X: np.ndarray, z: np.ndarray, means: np.ndarray, covs: np.ndarray,
     Xc = X[None] - means[:, None, None]                 # (K, I, T, P, R)
     half = np.einsum("kitpr,krs->kitps", Xc, inv)
     raw = np.einsum("itk,kitps,kitqs->kpq", z, half, Xc)
-    return np.stack([_jittered(mat, jitter) for mat in raw])
+    return np.stack([_jittered(mat) for mat in raw])
 
 
 def _state_weights(z: np.ndarray) -> np.ndarray:
@@ -259,8 +256,7 @@ def _state_weights(z: np.ndarray) -> np.ndarray:
 
 
 def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
-             sigma_structure: str, warm: SpectralParts | None = None,
-             jitter: bool = True) -> CmStep1Result:
+             sigma_structure: str, warm: SpectralParts | None = None) -> CmStep1Result:
     """Update initial/transition probabilities, means and row covariances.
 
     The row scatter is built against the previous column covariances; the
@@ -287,7 +283,7 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
 
     means = np.einsum("itk,itpr->kpr", z, X) / weights[:, None, None]
 
-    Y = _scatter(X, z, means, prev.psis, "column covariance Psi", jitter)
+    Y = _scatter(X, z, means, prev.psis, "column covariance Psi")
     if warm is None:
         warm = derive_parts(prev.sigmas)
     sigmas, parts = update_sigma(sigma_structure, Scatter(Y, weights), warm,
@@ -296,14 +292,14 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
 
 
 def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
-             psi_structure: str, warm: SpectralParts | None = None,
-             jitter: bool = True) -> tuple[np.ndarray, SpectralParts | None]:
+             psi_structure: str,
+             warm: SpectralParts | None = None) -> tuple[np.ndarray, SpectralParts | None]:
     """Update the column covariances given freshly updated row covariances."""
     X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
     weights = _state_weights(post.z)
     W = _scatter(np.swapaxes(X, 2, 3), post.z, np.swapaxes(current.means, 1, 2),
-                 current.sigmas, "row covariance Sigma", jitter)
+                 current.sigmas, "row covariance Sigma")
     if warm is None:
         warm = derive_parts(current.psis)
     return update_psi(psi_structure, Scatter(W, weights), warm, (P, R, I, T))
@@ -355,12 +351,10 @@ def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
     converged = False
     for it in range(1, max_iter + 1):
         try:
-            step1 = cm_step1(X, post, params, sigma_structure, warm=sigma_parts,
-                             jitter=config.jitter)
+            step1 = cm_step1(X, post, params, sigma_structure, warm=sigma_parts)
             params = HmmParams(step1.pi, step1.Pi, step1.means, step1.sigmas,
                                params.psis)
-            psis, parts = cm_step2(X, post, params, psi_structure,
-                                   warm=psi_parts, jitter=config.jitter)
+            psis, parts = cm_step2(X, post, params, psi_structure, warm=psi_parts)
             params = replace(params, psis=psis)
             # structures that keep no parts never read them, so the last
             # parts stay valid warm starts and need no re-derivation

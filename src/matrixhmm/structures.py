@@ -2,24 +2,26 @@
 
 Every state covariance is factored as ``lambda * Gamma diag(Delta) Gamma'``
 with volume ``lambda = det^(1/Q)``, orthogonal orientation ``Gamma`` and
-positive diagonal shape ``Delta`` of unit product.  A three-letter tag
-fixes which of the components are shared across states (E), vary by state
-(V), or degenerate (I = identity / axis-aligned); the row family has 14
-members.  The column family has 7: each is a row structure with its volume
-pinned to one by the unit determinant restriction, and is updated as that
-row structure with the volumes divided out.
+positive diagonal shape ``Delta`` of unit product.  A two-letter column tag
+fixes whether the shape and then the orientation are shared across states
+(E), vary by state (V), or are degenerate (I = identity / axis-aligned);
+the 7 column structures have their volume pinned to one by the unit
+determinant restriction.  A row tag is a volume letter, E (shared) or V
+(varying), in front of a column tag, so the row family has 14 members.
 
 Updates take per-state weighted scatter matrices and return the argmax of
-the conditionally maximized complete-data log-likelihood.  Shared
-orientations with varying shapes (EVE, VVE) have no closed form and
-use an iterative minorization-maximization step; shared shapes with
-varying orientations (EEV, VEV) use per-state eigendecompositions
-with descending eigenvalue order.
+the conditionally maximized complete-data log-likelihood.  The shape step
+of a column tag is the whole column update; a row update runs it on the
+scatters, divided by the previous volumes when those vary, and then
+solves for the volumes in closed form.  Shared orientations with varying
+shapes (VE) have no closed form and use an iterative
+minorization-maximization step; shared shapes with varying orientations
+(EV) use per-state eigendecompositions with descending eigenvalue order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,9 +31,6 @@ from .errors import DecompositionError
 SIGMA_STRUCTURES = ("EII", "VII", "EEI", "VEI", "EVI", "VVI", "EEE",
                     "VEE", "EVE", "VVE", "EEV", "VEV", "EVV", "VVV")
 PSI_STRUCTURES = ("II", "EI", "VI", "EE", "VE", "EV", "VV")
-# the row structure each column structure equals once its volume is pinned
-_PSI_AS_SIGMA = {"II": "EII", "EI": "EEI", "VI": "VVI", "EE": "EEE",
-                "VE": "VVE", "EV": "EEV", "VV": "VVV"}
 
 MM_MAX_ITER = 100
 MM_TOL = 1e-8
@@ -75,8 +74,9 @@ class SpectralParts:
     """Volume / orientation / shape split carried between iterations.
 
     Only the components a structure re-reads are meaningful: the volumes
-    ``lam`` for VEI, VEE, VVE and VEV, the shared orientation ``Gamma`` plus
-    shapes ``Delta`` for EVE and VVE.
+    ``lam`` for the row structures with varying volume (V tags), the shared
+    orientation ``Gamma`` plus shapes ``Delta`` for the VE shape (EVE, VVE
+    and the column structure VE).
     """
 
     lam: np.ndarray    # (K,)
@@ -183,14 +183,6 @@ def mm_orientation(matrices: np.ndarray, deltas: np.ndarray, init: np.ndarray,
     return MmResult(Gamma, trace, iterations)
 
 
-def _shared_parts(lam: np.ndarray, Gamma: np.ndarray, Delta: np.ndarray,
-                  K: int) -> SpectralParts:
-    """Broadcast shared orientation/shape pieces to per-state storage."""
-    G = np.tile(Gamma, (K, 1, 1)) if Gamma.ndim == 2 else Gamma
-    D = np.tile(Delta, (K, 1)) if Delta.ndim == 1 else Delta
-    return SpectralParts(np.broadcast_to(lam, (K,)).copy(), G, D)
-
-
 def derive_parts(covariances: np.ndarray) -> SpectralParts:
     """Extract warm-start parts from a stack of covariance matrices.
 
@@ -209,9 +201,60 @@ def derive_parts(covariances: np.ndarray) -> SpectralParts:
     return SpectralParts(lam, np.tile(Gamma, (K, 1, 1)), Delta)
 
 
+def _update_shape(structure: str, A: np.ndarray,
+                  prev: SpectralParts | None) -> tuple[np.ndarray, SpectralParts | None]:
+    """Unit-determinant C_k of a column structure minimizing sum_k tr(A_k C_k^-1).
+
+    Returns the (K, Q, Q) stack and, for VE, the shared orientation and
+    the shapes that warm-start the next call (``None`` otherwise).
+    """
+    K, Q, _ = A.shape
+    eye = np.eye(Q)
+    if structure == "II":
+        return np.tile(eye, (K, 1, 1)), None
+
+    if structure in ("EI", "VI"):
+        d = np.diagonal(A, axis1=1, axis2=2)
+        if structure == "EI":
+            d = np.tile(d.sum(axis=0), (K, 1))
+        deltas = d / _geomean(d, "scatter")[:, None]
+        return np.einsum("kq,pq->kpq", deltas, eye), None
+
+    if structure == "EE":
+        pooled = A.sum(axis=0)
+        pooled = 0.5 * (pooled + pooled.T)
+        C = pooled / _det_root(pooled, "pooled scatter")
+        return np.tile(C, (K, 1, 1)), None
+
+    if structure == "VE":
+        init = prev.Gamma[0] if prev is not None else eye
+        prev_delta = prev.Delta if prev is not None else np.ones((K, Q))
+        Gamma = mm_orientation(A, prev_delta, init).Gamma
+        rotated = np.einsum("pq,kpr,rq->kq", Gamma, A, Gamma)
+        deltas = rotated / _geomean(rotated, "rotated scatter")[:, None]
+        C = np.einsum("pq,kq,rq->kpr", Gamma, deltas, Gamma)
+        return C, SpectralParts(np.ones(K), np.tile(Gamma, (K, 1, 1)), deltas)
+
+    if structure == "EV":
+        omega, L = _eigh_descending(A)
+        pooled = omega.sum(axis=0)
+        delta = pooled / _geomean(pooled, "pooled eigenvalues")
+        return np.einsum("kpq,q,krq->kpr", L, delta, L), None
+
+    # VV, the unconstrained shape
+    S = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+    return S / _det_root(S, "scatter")[:, None, None], None
+
+
 def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
                  dims: tuple[int, int, int, int]) -> tuple[np.ndarray, SpectralParts | None]:
     """Conditional-maximization update of the per-state row covariances.
+
+    The shape step of the column structure ``structure[1:]`` runs on the
+    scatters, each divided by its previous volume when the volume letter
+    is V; the volumes then follow in closed form from
+    q_k = tr(Y_k C_k^-1) / (P R): lambda_k = q_k / w_k for V, and one
+    lambda = sum_k q_k / (I T) for E.
 
     Parameters
     ----------
@@ -221,14 +264,14 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
         covariances) and state weights.
     prev : SpectralParts or None
         Previous volume/orientation/shape split; ``None`` stands for
-        identity covariances.  Read only by VEI, VEE, VVE, VEV (volumes)
-        and EVE, VVE (orientation warm start).
+        identity covariances.  V tags read the volumes ``prev.lam``; the
+        VE shape (EVE, VVE) reads ``prev.Gamma`` and ``prev.Delta``.
     dims : (P, R, I, T) panel dimensions.
 
     Returns
     -------
     (sigmas, parts) : the (K, P, P) updated covariances and the parts to
-    pass back on the next call (None for structures that keep no state).
+    pass back on the next call (None for structures that read none).
     """
     if structure not in SIGMA_STRUCTURES:
         raise ValueError(f"unknown row structure {structure!r}")
@@ -237,115 +280,19 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     P, R, I, T = dims
     if Q != P:
         raise ValueError(f"scatter dimension {Q} does not match P={P}")
-    eye = np.eye(P)
-    n_total = float(I * T)
-    prev_lam = prev.lam if prev is not None else np.ones(K)
-
-    if structure == "EII":
-        lam = float(np.trace(Y.sum(axis=0)) / (P * R * n_total))
-        _require_positive(lam, "EII volume")
-        return lam * np.tile(eye, (K, 1, 1)), None
-
-    if structure == "VII":
-        lam = np.trace(Y, axis1=1, axis2=2) / (P * R * w)
-        _require_positive(lam, "VII volumes")
-        return lam[:, None, None] * eye, None
-
-    if structure == "EEI":
-        d = np.diagonal(Y.sum(axis=0))
-        gm = _geomean(d, "pooled scatter")
-        delta = d / gm
-        lam = gm / (R * n_total)
-        sig = lam * np.diag(delta)
-        return np.tile(sig, (K, 1, 1)), None
-
-    if structure == "VEI":
-        pooled = np.diagonal((Y / prev_lam[:, None, None]).sum(axis=0))
-        gm = _geomean(pooled, "volume-scaled scatter")
-        delta = pooled / gm
-        lam = np.diagonal(Y, axis1=1, axis2=2) @ (1.0 / delta) / (P * R * w)
-        _require_positive(lam, "VEI volumes")
-        sigmas = lam[:, None, None] * np.diag(delta)
-        return sigmas, _shared_parts(lam, eye, delta, K)
-
-    if structure == "EVI":
-        d = np.diagonal(Y, axis1=1, axis2=2)
-        gm = _geomean(d, "scatter")
-        deltas = d / gm[:, None]
-        lam = float(np.sum(gm) / (R * n_total))
-        sigmas = lam * np.einsum("kq,pq->kpq", deltas, eye)
-        return sigmas, None
-
-    if structure == "VVI":
-        d = np.diagonal(Y, axis1=1, axis2=2)
-        gm = _geomean(d, "scatter")
-        deltas = d / gm[:, None]
-        lam = gm / (R * w)
-        sigmas = lam[:, None, None] * np.einsum("kq,pq->kpq", deltas, eye)
-        return sigmas, None
-
-    if structure == "EEE":
-        sig = Y.sum(axis=0) / (R * n_total)
-        sig = 0.5 * (sig + sig.T)
-        _det_root(sig, "EEE covariance")
-        return np.tile(sig, (K, 1, 1)), None
-
-    if structure == "VEE":
-        pooled = (Y / prev_lam[:, None, None]).sum(axis=0)
-        pooled = 0.5 * (pooled + pooled.T)
-        C = pooled / _det_root(pooled, "volume-scaled scatter")
-        C_inv = np.linalg.inv(C)
-        lam = np.einsum("pq,kqp->k", C_inv, Y) / (P * R * w)
-        _require_positive(lam, "VEE volumes")
-        vals, vecs = _eigh_descending(C)
-        return lam[:, None, None] * C, _shared_parts(lam, vecs, vals, K)
-
-    if structure in ("EVE", "VVE"):
-        init = prev.Gamma[0] if prev is not None else eye
-        prev_delta = prev.Delta if prev is not None else np.ones((K, P))
-        # with state volumes the orientation target is sum_k tr(Y_k Gamma
-        # Delta_k^-1 Gamma')/lam_k; a common volume does not move its argmin
-        target = Y / prev_lam[:, None, None] if structure == "VVE" else Y
-        Gamma = mm_orientation(target, prev_delta, init).Gamma
-        rotated = np.einsum("pq,kpr,rq->kq", Gamma, Y, Gamma)
-        gm = _geomean(rotated, "rotated scatter")
-        deltas = rotated / gm[:, None]
-        if structure == "EVE":
-            lam_k = np.full(K, float(np.sum(rotated / deltas) / (P * R * n_total)))
-        else:
-            lam_k = gm / (R * w)
-        _require_positive(lam_k, f"{structure} volumes")
-        sigmas = lam_k[:, None, None] * np.einsum("pq,kq,rq->kpr", Gamma, deltas, Gamma)
-        return sigmas, _shared_parts(lam_k, Gamma, deltas, K)
-
-    if structure in ("EEV", "VEV"):
-        omega, L = _eigh_descending(Y)
-        if structure == "EEV":
-            pooled = omega.sum(axis=0)
-        else:
-            pooled = (omega / prev_lam[:, None]).sum(axis=0)
-        gm = _geomean(pooled, "pooled eigenvalues")
-        delta = pooled / gm
-        if structure == "EEV":
-            lam_k = np.full(K, gm / (R * n_total))
-        else:
-            lam_k = (omega @ (1.0 / delta)) / (P * R * w)
-        _require_positive(lam_k, f"{structure} volumes")
-        sigmas = lam_k[:, None, None] * np.einsum("kpq,q,krq->kpr", L, delta, L)
-        parts = SpectralParts(lam_k, L.copy(), np.tile(delta, (K, 1)))
-        return sigmas, parts if structure == "VEV" else None
-
-    if structure == "EVV":
-        roots = _det_root(Y, "scatter")
-        C = Y / roots[:, None, None]
-        lam = float(np.sum(roots) / (R * n_total))
-        return lam * C, None
-
-    # VVV, the unconstrained case
-    sigmas = Y / (R * w)[:, None, None]
-    sigmas = 0.5 * (sigmas + np.transpose(sigmas, (0, 2, 1)))
-    _det_root(sigmas, "VVV covariance")
-    return sigmas, None
+    varying = structure[0] == "V"
+    # with state volumes the shape target is sum_k tr(Y_k C_k^-1) / lam_k;
+    # a common volume does not move its argmin
+    A = Y / prev.lam[:, None, None] if varying and prev is not None else Y
+    C, parts = _update_shape(structure[1:], A, prev)
+    q = np.einsum("kpq,kqp->k", np.linalg.inv(C), Y) / (P * R)
+    lam = q / w if varying else np.full(K, q.sum() / (I * T))
+    _require_positive(lam, f"{structure} volumes")
+    if varying:
+        parts = parts or SpectralParts.identity(K, Q)
+    if parts is not None:
+        parts = replace(parts, lam=lam)
+    return lam[:, None, None] * C, parts
 
 
 def update_psi(structure: str, scatter: Scatter, prev: SpectralParts | None,
@@ -353,30 +300,20 @@ def update_psi(structure: str, scatter: Scatter, prev: SpectralParts | None,
     """Conditional-maximization update of the per-state column covariances.
 
     The column scatter matrices W_k must be built against the freshly
-    updated row covariances.  Each column structure is a row structure
-    with unit volume (EI is EEI, VI is VVI, EE is EEE, VE is VVE, EV is
-    EEV, VV is VVV): that row update runs with the dimensions swapped and
-    each state is divided by det^(1/R), so every output has unit
-    determinant.  The identity structure II estimates nothing.
+    updated row covariances.  This is the shape step itself: every output
+    has unit determinant, and the identity structure II estimates nothing.
+    Only VE reads ``prev`` (its orientation and shapes).
     """
     if structure not in PSI_STRUCTURES:
         raise ValueError(f"unknown column structure {structure!r}")
     W, _ = _check_scatter(scatter)
-    K, Q, _ = W.shape
-    P, R, I, T = dims
+    Q, R = W.shape[1], dims[1]
     if Q != R:
         raise ValueError(f"scatter dimension {Q} does not match R={R}")
-    if structure == "II":
-        return np.tile(np.eye(R), (K, 1, 1)), None
     try:
-        covs, parts = update_sigma(_PSI_AS_SIGMA[structure], scatter, prev, (R, P, I, T))
-        roots = _det_root(covs, "covariance")
+        return _update_shape(structure, W, prev)
     except DecompositionError as exc:
         raise DecompositionError(f"column structure {structure}: {exc}") from None
-    psis = covs / roots[:, None, None]
-    if parts is not None:
-        parts = SpectralParts(np.ones(K), parts.Gamma, parts.Delta)
-    return psis, parts
 
 
 def _require_positive(value, what: str) -> None:
@@ -385,33 +322,26 @@ def _require_positive(value, what: str) -> None:
 
 
 def count_sigma_params(structure: str, K: int, Q: int) -> int:
-    """Free parameters in the K row covariance matrices of dimension Q."""
+    """Free parameters in the K row covariance matrices of dimension Q: the
+    volumes (one per state for V, one for E) plus those of the column
+    structure the tag ends in."""
     if structure not in SIGMA_STRUCTURES:
         raise ValueError(f"unknown row structure {structure!r}")
-    orient = Q * (Q - 1) // 2
-    counts = {
-        "EII": 1,
-        "VII": K,
-        "EEI": Q,
-        "VEI": K + Q - 1,
-        "EVI": K * (Q - 1) + 1,
-        "VVI": K * Q,
-        "EEE": Q * (Q + 1) // 2,
-        "VEE": Q * (Q + 1) // 2 + K - 1,
-        "EVE": orient + K * (Q - 1) + 1,
-        "VVE": orient + K * Q,
-        "EEV": K * orient + Q,
-        "VEV": K * orient + K + Q - 1,
-        "EVV": K * Q * (Q + 1) // 2 - K + 1,
-        "VVV": K * Q * (Q + 1) // 2,
-    }
-    return counts[structure]
+    return (K if structure[0] == "V" else 1) + count_psi_params(structure[1:], K, Q)
 
 
 def count_psi_params(structure: str, K: int, Q: int) -> int:
-    """Free parameters in the K unit-determinant column covariance matrices:
-    those of the matching row structure less its pinned volumes."""
+    """Free parameters in the K unit-determinant column covariance matrices."""
     if structure not in PSI_STRUCTURES:
         raise ValueError(f"unknown column structure {structure!r}")
-    sigma = _PSI_AS_SIGMA[structure]
-    return count_sigma_params(sigma, K, Q) - (K if sigma[0] == "V" else 1)
+    orient = Q * (Q - 1) // 2
+    counts = {
+        "II": 0,
+        "EI": Q - 1,
+        "VI": K * (Q - 1),
+        "EE": Q * (Q + 1) // 2 - 1,
+        "VE": orient + K * (Q - 1),
+        "EV": K * orient + Q - 1,
+        "VV": K * (Q * (Q + 1) // 2 - 1),
+    }
+    return counts[structure]

@@ -191,3 +191,23 @@ def test_bench_writes_timing_table(tmp_path, monkeypatch):
     assert lines[0] == "scenario,mode,workers,seconds"
     assert len(lines) == 2
     assert lines[1].startswith("tiny,sequential,1,")
+
+
+def test_programming_errors_propagate_out_of_main(two_state_csv, tmp_path,
+                                                  monkeypatch, capsys):
+    argv = ["fit", "--data", str(two_state_csv), "--structure", "EII-II",
+            "--K", "1", "--out-dir", str(tmp_path)]
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the fit")
+
+    monkeypatch.setattr("matrixhmm.cli.fit", broken)
+    with pytest.raises(TypeError, match="bug in the fit"):
+        main(argv)
+
+    def failing(*args, **kwargs):
+        raise mh.FitFailureError("every start failed")
+
+    monkeypatch.setattr("matrixhmm.cli.fit", failing)
+    assert main(argv) == 1
+    assert "every start failed" in capsys.readouterr().err

@@ -104,17 +104,26 @@ def test_eev_recovers_known_eigenvalues():
         assert np.allclose(sigmas[k], expected, atol=1e-10)
 
 
-def test_vve_chained_updates_never_lower_the_objective():
-    # unequal state scales make the orientation step depend on the volumes
+@pytest.mark.parametrize("structure", SIGMA_STRUCTURES + PSI_STRUCTURES)
+def test_chained_updates_never_lower_the_objective(structure):
+    # unequal state scales make the shape step depend on the volumes
+    row = structure in SIGMA_STRUCTURES
+    update, dims = (update_sigma, DIMS) if row else (update_psi, (2, 3, 40, 5))
+
+    def objective(covs, sc):
+        if row:
+            return sigma_objective(covs, sc.matrices, sc.weights, dims[1])
+        return psi_objective(covs, sc.matrices)
+
     for seed in range(20):
         rng = np.random.default_rng(seed)
         sc = random_scatter(2, 3, rng)
         sc = Scatter(sc.matrices * np.array([1.0, 50.0])[:, None, None], sc.weights)
-        sig, parts = update_sigma("VVE", sc, None, DIMS)
-        before = sigma_objective(sig, sc.matrices, sc.weights, DIMS[1])
+        covs, parts = update(structure, sc, None, dims)
+        before = objective(covs, sc)
         for _ in range(3):
-            sig, parts = update_sigma("VVE", sc, parts, DIMS)
-            after = sigma_objective(sig, sc.matrices, sc.weights, DIMS[1])
+            covs, parts = update(structure, sc, parts, dims)
+            after = objective(covs, sc)
             assert after >= before - 1e-9 * abs(before), seed
             before = after
 
