@@ -226,19 +226,37 @@ def _jittered(mat: np.ndarray) -> np.ndarray:
         return sym + (1e-10 * np.trace(sym) / Q) * np.eye(Q)
 
 
-def _scatter(X: np.ndarray, z: np.ndarray, means: np.ndarray, covs: np.ndarray,
-             what: str) -> np.ndarray:
+def _moments(X: np.ndarray, z: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Per-state weighted second moments about the state means.
+
+    S_k = sum_it z_itk vec(X_it - M_k) vec(X_it - M_k)', one symmetric
+    rank-(I T) product per state, returned as a (K, P, R, P, R) stack with
+    S_k[p, r, q, s] = sum_it z_itk (X_it - M_k)[p, r] (X_it - M_k)[q, s].
+    """
+    I, T, P, R = X.shape
+    K = means.shape[0]
+    x = X.reshape(I * T, P * R)
+    roots = np.sqrt(z.reshape(I * T, K))
+    S = np.empty((K, P * R, P * R))
+    for k in range(K):
+        weighted = roots[:, k, None] * (x - means[k].reshape(P * R))
+        S[k] = weighted.T @ weighted
+    return S.reshape(K, P, R, P, R)
+
+
+def _scatter(moments: np.ndarray, covs: np.ndarray, what: str) -> np.ndarray:
     """Per-state weighted scatter sum_it z_itk (X_it - M_k) C_k^-1 (X_it - M_k)'.
 
-    With the column covariances as C this is the row scatter Y_k of the
-    first CM step; on transposed matrices and means with the row
+    ``moments`` is the (K, A, B, A, B) stack of :func:`_moments` and C_k
+    the (B, B) covariances; the scatter is the contraction of S_k with
+    C_k^-1 over the B axes, so its cost does not grow with I T.  With the
+    column covariances as C this is the row scatter Y_k of the first CM
+    step; on the moments with both axis pairs swapped and the row
     covariances as C it is the column scatter W_k of the second.
     """
     L_inv, _ = _chol_inv_logdet(covs, what)
-    inv = np.einsum("ksr,kst->krt", L_inv, L_inv)
-    Xc = X[None] - means[:, None, None]                 # (K, I, T, P, R)
-    half = np.einsum("kitpr,krs->kitps", Xc, inv)
-    raw = np.einsum("itk,kitps,kitqs->kpq", z, half, Xc)
+    inv = np.swapaxes(L_inv, 1, 2) @ L_inv
+    raw = np.einsum("kprqs,krs->kpq", moments, inv)
     return np.stack([_jittered(mat) for mat in raw])
 
 
@@ -283,7 +301,7 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
 
     means = np.einsum("itk,itpr->kpr", z, X) / weights[:, None, None]
 
-    Y = _scatter(X, z, means, prev.psis, "column covariance Psi")
+    Y = _scatter(_moments(X, z, means), prev.psis, "column covariance Psi")
     if warm is None:
         warm = derive_parts(prev.sigmas)
     sigmas, parts = update_sigma(sigma_structure, Scatter(Y, weights), warm,
@@ -298,8 +316,8 @@ def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
     X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
     weights = _state_weights(post.z)
-    W = _scatter(np.swapaxes(X, 2, 3), post.z, np.swapaxes(current.means, 1, 2),
-                 current.sigmas, "row covariance Sigma")
+    moments = _moments(X, post.z, current.means).transpose(0, 2, 1, 4, 3)
+    W = _scatter(moments, current.sigmas, "row covariance Sigma")
     if warm is None:
         warm = derive_parts(current.psis)
     return update_psi(psi_structure, Scatter(W, weights), warm, (P, R, I, T))

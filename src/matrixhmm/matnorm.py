@@ -9,7 +9,10 @@ The log-density is
     - (1/2) tr[Sigma^-1 (X - M) Psi^-1 (X - M)']
 
 and is evaluated in log space throughout; the raw density is never
-materialized.
+materialized.  With lower Cholesky factors LS LS' = Sigma and
+LP LP' = Psi the trace is the squared Frobenius norm of the whitened
+residual LS^-1 (X - M) LP^-T, which the stacked kernel forms with two
+batched matrix products over every observation and state.
 """
 
 from __future__ import annotations
@@ -87,15 +90,21 @@ def _log_density_states(Xs: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
     ``Xs`` is (..., P, R) and ``means``, ``sigmas``, ``psis`` are (K, P, R),
     (K, P, P), (K, R, R) stacks; the result has shape (..., K).
     """
-    _, P, R = means.shape
+    K, P, R = means.shape
+    lead = Xs.shape[:-2]
     LS_inv, logdet_S = _chol_inv_logdet(sigmas, "row covariance Sigma")
     LP_inv, logdet_P = _chol_inv_logdet(psis, "column covariance Psi")
-    Xc = Xs[..., None, :, :] - means                    # (..., K, P, R)
-    # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2
-    half = np.einsum("kpq,...kqr->...kpr", LS_inv, Xc)
-    white = np.einsum("...kpr,ksr->...kps", half, LP_inv)
-    quad = np.einsum("...kps,...kps->...k", white, white)
-    return -0.5 * (P * R * LOG_2PI + R * logdet_S + P * logdet_P + quad)
+    Xc = Xs.reshape(-1, P, R)[None] - means[:, None]    # (K, N, P, R)
+    N = Xc.shape[1]
+    # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2; the right factor
+    # acts on all N P rows of a state at once, the left one per matrix and
+    # into the residual buffer: a third (K, N, P, R) array per call made
+    # wide fits about a quarter slower and raised their peak memory
+    right = (Xc.reshape(K, N * P, R) @ np.swapaxes(LP_inv, 1, 2)).reshape(K, N, P, R)
+    white = np.matmul(LS_inv[:, None], right, out=Xc)
+    quad = np.einsum("knpr,knpr->kn", white, white)
+    log_dens = -0.5 * ((P * R * LOG_2PI + R * logdet_S + P * logdet_P)[:, None] + quad)
+    return log_dens.T.reshape(lead + (K,))
 
 
 def log_density_stack(Xs: np.ndarray, M: np.ndarray, Sigma: np.ndarray,

@@ -285,7 +285,12 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     # a common volume does not move its argmin
     A = Y / prev.lam[:, None, None] if varying and prev is not None else Y
     C, parts = _update_shape(structure[1:], A, prev)
-    q = np.einsum("kpq,kqp->k", np.linalg.inv(C), Y) / (P * R)
+    try:
+        C_inv = np.linalg.inv(C)
+    except np.linalg.LinAlgError:
+        # a scatter of rank below Q can pass its determinant check by rounding
+        raise DecompositionError(f"{structure} shape is singular") from None
+    q = np.einsum("kpq,kqp->k", C_inv, Y) / (P * R)
     lam = q / w if varying else np.full(K, q.sum() / (I * T))
     _require_positive(lam, f"{structure} volumes")
     if varying:

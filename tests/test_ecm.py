@@ -202,6 +202,84 @@ def test_cm1_state_collapse_error():
         cm_step1(panel, broken, params, "VVV")
 
 
+def soft_posteriors(rng, I, T, K):
+    z = rng.dirichlet(np.ones(K), size=(I, T))
+    zz = np.zeros((I, T, K, K))
+    zz[:, 1:] = z[:, :-1, :, None] * z[:, 1:, None, :]
+    return mh.Posteriors(z, zz, np.zeros((I, T, K)), np.zeros((I, T, K)), 0.0)
+
+
+def loop_scatter(X, z, means, covs, columns):
+    """sum_it z_itk D C_k^-1 D' with D = X_it - M_k (or D' C_k^-1 D for the
+    column side), one observation at a time."""
+    I, T, K = z.shape
+    out = []
+    for k in range(K):
+        inv = np.linalg.inv(covs[k])
+        total = 0.0
+        for i in range(I):
+            for t in range(T):
+                D = X[i, t] - means[k]
+                total = total + z[i, t, k] * (D.T @ inv @ D if columns else D @ inv @ D.T)
+        out.append(total)
+    return np.stack(out)
+
+
+def test_scatters_match_a_per_observation_loop():
+    rng = np.random.default_rng(25)
+    I, T, K, P, R = 9, 4, 3, 3, 5
+    X = 1e4 + rng.normal(size=(I, T, P, R))
+    post = soft_posteriors(rng, I, T, K)
+    prev = random_hmm_params(K, P, R, rng)
+    z = post.z
+    w = z.sum(axis=(0, 1))
+    means = np.stack([sum(z[i, t, k] * X[i, t] for i in range(I) for t in range(T)) / w[k]
+                      for k in range(K)])
+
+    step = cm_step1(X, post, prev, "VVV")
+    Y = loop_scatter(X, z, means, prev.psis, columns=False)
+    sigmas = Y / (R * w[:, None, None])
+    assert np.max(np.abs(step.means - means)) < 1e-9 * 1e4
+    assert np.max(np.abs(step.sigmas - sigmas)) < 1e-9 * np.max(np.abs(sigmas))
+
+    current = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, prev.psis)
+    psis, _ = cm_step2(X, post, current, "VV")
+    W = loop_scatter(X, z, step.means, step.sigmas, columns=True)
+    expected = W / np.linalg.det(W)[:, None, None] ** (1.0 / R)
+    assert np.max(np.abs(psis - expected)) < 1e-9 * np.max(np.abs(expected))
+
+
+def test_a_state_on_identical_observations_fits_or_raises_a_typed_error():
+    rng = np.random.default_rng(26)
+    I, T, P, R = 6, 4, 2, 3
+    X = rng.normal(size=(I, T, P, R))
+    labels = np.zeros((I, T), dtype=int)
+    labels[:2, :3] = 1
+    X[labels == 1] = rng.normal(size=(P, R))
+    post = hard_posteriors(I, T, 2, labels)
+    prev = random_hmm_params(2, P, R, rng)
+    for row, col in zip(mh.SIGMA_STRUCTURES, 2 * mh.PSI_STRUCTURES):
+        try:
+            step = cm_step1(X, post, prev, row)
+            assert np.all(np.isfinite(step.sigmas)), row
+            current = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, prev.psis)
+            psis, _ = cm_step2(X, post, current, col)
+            assert np.all(np.isfinite(psis)), (row, col)
+        except (mh.FitError, ValueError) as exc:
+            assert type(exc) is not np.linalg.LinAlgError, (row, col, exc)
+    # fits on panels where half the observations are one matrix
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(P, R, 10, 4))
+        values[:, :, :5] = rng.normal(size=(P, R))[:, :, None, None]
+        for pair in ("VVV-VV", "VVE-VE", "EEE-EE"):
+            try:
+                report = mh.fit(mh.MatrixPanel(values), pair, 2, mh.FitConfig(short_runs=5))
+                assert np.isfinite(report.log_lik), (seed, pair)
+            except (mh.FitError, ValueError) as exc:
+                assert type(exc) is not np.linalg.LinAlgError, (seed, pair, exc)
+
+
 # ------------------------------------------------------------- random init
 
 def test_random_init_invariants():

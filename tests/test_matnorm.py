@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
 from matrixhmm import DecompositionError, MatNormParams, log_density, sample
-from matrixhmm.matnorm import log_density_stack
+from matrixhmm.matnorm import _log_density_states, log_density_stack
 
 
 def random_instance(rng, P=None, R=None):
@@ -44,6 +44,20 @@ def test_matches_vectorized_mvn():
             mean=params.M.flatten(order="F"),
             cov=np.kron(params.Psi, params.Sigma)).logpdf(X.flatten(order="F"))
         worst = max(worst, abs(ours - ref))
+    # the K-state kernel on an (I, T, P, R) stack, P != R
+    for P, R in ((2, 3), (4, 1), (3, 5)):
+        states = [random_instance(rng, P=P, R=R) for _ in range(3)]
+        Xs = rng.normal(scale=2.0, size=(4, 3, P, R))
+        ours = _log_density_states(Xs, *(np.stack([getattr(st, name) for st in states])
+                                         for name in ("M", "Sigma", "Psi")))
+        assert ours.shape == (4, 3, 3)
+        for k, st in enumerate(states):
+            mvn = multivariate_normal(mean=st.M.flatten(order="F"),
+                                      cov=np.kron(st.Psi, st.Sigma))
+            vecs = np.swapaxes(Xs, 2, 3).reshape(12, P * R)  # column-major vec
+            ref = mvn.logpdf(vecs).reshape(4, 3)
+            worst = max(worst, np.max(np.abs(ours[..., k] - ref)),
+                        np.max(np.abs(log_density_stack(Xs, st.M, st.Sigma, st.Psi) - ref)))
     assert worst < 1e-12
 
 

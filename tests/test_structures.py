@@ -293,6 +293,13 @@ def test_mm_rejects_non_orthogonal_init():
 
 
 def test_degenerate_scatter_raises_decomposition_error():
-    sc = Scatter(np.zeros((1, 2, 2)), np.array([10.0]))
-    with pytest.raises(DecompositionError):
-        update_sigma("VVV", sc, None, (2, 2, 10, 5))
+    rank_one = [
+        np.zeros((2, 2)),
+        # its rounded determinant is positive, so only the inverse fails
+        np.array([[0.016521159578136494, -0.17563792161243916],
+                  [-0.17563792161243916, 1.8672224163466922]]),
+    ]
+    for matrix in rank_one:
+        sc = Scatter(matrix[None], np.array([10.0]))
+        with pytest.raises(DecompositionError):
+            update_sigma("VVV", sc, None, (2, 2, 10, 5))
