@@ -4,7 +4,7 @@ Observations are P x R matrices collected per unit per time in a 4-way
 panel.  Each hidden state carries a matrix-normal law whose row and
 column covariances are constrained through their volume / shape /
 orientation split, giving a family of 98 models fitted by an ECM
-algorithm with log-space forward-backward recursions and selected by BIC.
+algorithm with scaled forward-backward recursions and selected by BIC.
 """
 
 from .ecm import (DEFAULT_SEED, FitConfig, FitReport, HmmParams, Posteriors,

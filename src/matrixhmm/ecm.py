@@ -1,11 +1,11 @@
 """ECM fitting of hidden Markov models with matrix-normal states.
 
-The expectation step runs the forward-backward recursions entirely in log
-space; the two conditional-maximization steps update the chain parameters
-and the row covariances first (with the column covariances held fixed),
-then the column covariances given the fresh row covariances.  Fits start
-from the best of many short randomly-initialized runs and continue that
-candidate until the relative log-likelihood change falls below tolerance.
+The expectation step runs Rabiner's scaled forward-backward recursions; the
+two conditional-maximization steps update the chain parameters and the row
+covariances first (with the column covariances held fixed), then the column
+covariances given the fresh row covariances.  Fits start from the best of
+many short randomly-initialized runs and continue that candidate until the
+relative log-likelihood change falls below tolerance.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ from .structures import (Scatter, SpectralParts, derive_parts,
 
 DEFAULT_SEED = 12345
 _COLLAPSE_FRACTION = 1e-6
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along one axis; rows of all -inf stay -inf."""
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis))
-    return out + np.squeeze(m, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -93,17 +84,15 @@ class HmmParams:
 
 @dataclass(frozen=True)
 class Posteriors:
-    """Smoothed memberships, pairwise transition expectations and recursions.
+    """Smoothed memberships, pairwise transition expectations and the
+    log-likelihood they were computed at.
 
     ``zz[:, t]`` is defined for t >= 1 (second time point onward); the
-    leading slice is zero.  ``log_gamma``/``log_beta`` hold the forward and
-    backward log-probabilities.
+    leading slice is zero.
     """
 
-    z: np.ndarray          # (I, T, K)
-    zz: np.ndarray         # (I, T, K, K)
-    log_gamma: np.ndarray  # (I, T, K)
-    log_beta: np.ndarray   # (I, T, K)
+    z: np.ndarray   # (I, T, K)
+    zz: np.ndarray  # (I, T, K, K)
     log_lik: float
 
 
@@ -176,42 +165,45 @@ def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
     log_phi = _log_phi(X, params)
     if not np.all(np.isfinite(log_phi)):
         raise NumericalError("non-finite state log-density in E-step")
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
-        log_Pi = np.log(params.Pi)
-
-    log_gamma = np.empty((I, T, K))
-    log_gamma[:, 0] = log_phi[:, 0] + log_pi
-    for t in range(1, T):
-        # (I, j, k): previous forward mass joined with the transition into k
-        step = log_gamma[:, t - 1, :, None] + log_Pi[None, :, :]
-        log_gamma[:, t] = log_phi[:, t] + _logsumexp(step, axis=1)
-
-    log_beta = np.zeros((I, T, K))
-    for t in range(T - 2, -1, -1):
-        step = (log_phi[:, t + 1, None, :] + log_beta[:, t + 1, None, :]
-                + log_Pi[None, :, :])
-        log_beta[:, t] = _logsumexp(step, axis=2)
-
-    unit_ll = _logsumexp(log_gamma[:, T - 1], axis=1)
-    total = float(unit_ll.sum())
-    if not np.isfinite(total):
-        raise NumericalError("non-finite log-likelihood in E-step")
-
-    smoothed = log_gamma + log_beta
-    z = np.exp(smoothed - _logsumexp(smoothed, axis=2)[:, :, None])
+    # Rabiner's scaled recursions on densities divided by their per-observation
+    # maximum.  When every pi_k and Pi_jk is positive and representable,
+    # c_t >= min Pi and the scaled beta <= 1 / min Pi, so nothing underflows or
+    # overflows.  Exact zeros (the M-step makes them when a transition's
+    # posterior mass underflows) can leave a unit no reachable state: c_t = 0.
+    offsets = log_phi.max(axis=2)
+    phi = np.exp(log_phi - offsets[:, :, None])
+    Pi = params.Pi
+    alpha = np.empty((I, T, K))
+    beta = np.empty((I, T, K))
+    scale = np.empty((I, T))
+    alpha[:, 0] = params.pi * phi[:, 0]
+    with np.errstate(all="ignore"):  # the checks below catch every failure
+        for t in range(T):
+            if t:
+                alpha[:, t] = (alpha[:, t - 1] @ Pi) * phi[:, t]
+            scale[:, t] = alpha[:, t].sum(axis=1)
+            alpha[:, t] /= scale[:, t, None]
+        beta[:, T - 1] = 1.0
+        for t in range(T - 2, -1, -1):
+            beta[:, t] = (phi[:, t + 1] * beta[:, t + 1]) @ Pi.T / scale[:, t + 1, None]
+        z = alpha * beta
+    if np.any(scale == 0.0):
+        i, t = np.argwhere(scale == 0.0)[0]
+        raise NumericalError(
+            f"unit {i + 1} has no reachable state at time {t + 1} in E-step")
+    if not np.all(np.isfinite(z)):
+        raise NumericalError("non-finite smoothed memberships in E-step")
 
     zz = np.zeros((I, T, K, K))
-    if T > 1:
-        log_zz = (log_gamma[:, :-1, :, None] + log_Pi[None, None, :, :]
-                  + log_phi[:, 1:, None, :] + log_beta[:, 1:, None, :]
-                  - unit_ll[:, None, None, None])
-        zz[:, 1:] = np.exp(log_zz)
-    return Posteriors(z, zz, log_gamma, log_beta, total)
+    zz[:, 1:] = (alpha[:, :-1, :, None] * Pi
+                 * (phi[:, 1:] * beta[:, 1:] / scale[:, 1:, None])[:, :, None, :])
+    total = float(np.log(scale).sum() + offsets.sum())
+    return Posteriors(z, zz, total)
 
 
 def e_step(panel: MatrixPanel, params: HmmParams) -> Posteriors:
-    """Smoothed memberships and transition expectations via log-space recursions."""
+    """Smoothed memberships and transition expectations via the scaled
+    forward-backward recursions."""
     return _e_step_arrays(panel.unit_time_stack(), params)
 
 
@@ -414,7 +406,6 @@ def _permute_params(params: HmmParams, order: list[int]) -> HmmParams:
 def _permute_posteriors(post: Posteriors, order: list[int]) -> Posteriors:
     idx = np.asarray(order)
     return Posteriors(post.z[:, :, idx], post.zz[:, :, idx][:, :, :, idx],
-                      post.log_gamma[:, :, idx], post.log_beta[:, :, idx],
                       post.log_lik)
 
 

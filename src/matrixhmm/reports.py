@@ -159,8 +159,7 @@ def load_fit_report(path) -> FitReport:
         else:
             raise ValueError(f"{path}: unexpected line {line.strip()!r}")
     params = HmmParams(pi, Pi, means, sigmas, psis)
-    empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)),
-                       np.zeros((0, 0, K)), np.zeros((0, 0, K)), log_lik)
+    empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), log_lik)
     return FitReport(pair, params, empty, log_lik, trace, n_params, bic_value,
                      decoded, iterations, converged, wall_time, (P, R, I, T),
                      warnings, unit_labels, time_labels)

@@ -250,7 +250,7 @@ def timing_run(scenarios, modes=("sequential", "parallel"), workers: int = 2,
 
     One panel is generated per scenario (replicate 0); the clock runs
     around the grid call only.  ``sequential`` uses one in-process worker,
-    ``parallel`` a pool of ``workers``.
+    ``parallel`` a pool of ``workers``; a single worker runs in-process too.
     """
     config = config or FitConfig()
     rows = []

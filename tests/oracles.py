@@ -31,6 +31,12 @@ def random_hmm_params(K, P, R, rng, scale=2.0):
 
 def brute_force_log_lik(X, params):
     """Total log-likelihood by summing over every hidden state sequence."""
+    return brute_force_posteriors(X, params)[0]
+
+
+def brute_force_posteriors(X, params):
+    """Log-likelihood, memberships z and pairwise expectations zz by
+    weighting every hidden state sequence in log space; ``zz[:, 0]`` is zero."""
     I, T = X.shape[:2]
     K = params.K
     log_phi = np.empty((I, T, K))
@@ -42,18 +48,28 @@ def brute_force_log_lik(X, params):
     with np.errstate(divide="ignore"):
         log_pi = np.log(params.pi)
         log_Pi = np.log(params.Pi)
+    seqs = list(itertools.product(range(K), repeat=T))
     total = 0.0
+    z = np.zeros((I, T, K))
+    zz = np.zeros((I, T, K, K))
     for i in range(I):
         terms = []
-        for seq in itertools.product(range(K), repeat=T):
+        for seq in seqs:
             lp = log_pi[seq[0]] + log_phi[i, 0, seq[0]]
             for t in range(1, T):
                 lp += log_Pi[seq[t - 1], seq[t]] + log_phi[i, t, seq[t]]
             terms.append(lp)
         terms = np.array(terms)
         m = np.max(terms)
-        total += m + np.log(np.sum(np.exp(terms - m)))
-    return float(total)
+        unit_ll = m + np.log(np.sum(np.exp(terms - m)))
+        total += unit_ll
+        for seq, lp in zip(seqs, terms):
+            weight = np.exp(lp - unit_ll)
+            for t in range(T):
+                z[i, t, seq[t]] += weight
+                if t:
+                    zz[i, t, seq[t - 1], seq[t]] += weight
+    return float(total), z, zz
 
 
 def sigma_objective(sigmas, Y, weights, R):
@@ -91,8 +107,7 @@ def fabricate_report(params, dims, wall_time=0.1):
     """Minimal fit report wrapper around given parameters (for scoring tests)."""
     P, R, I, T = dims
     K = params.K
-    empty = mh.Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)),
-                          np.zeros((0, 0, K)), np.zeros((0, 0, K)), 0.0)
+    empty = mh.Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), 0.0)
     return mh.FitReport(structure=("VVV", "VV"), params=params, posteriors=empty,
                         log_lik=0.0, log_lik_trace=np.zeros(1), n_params=0,
                         bic=0.0, decoded=np.ones((I, T), dtype=int),

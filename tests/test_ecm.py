@@ -5,7 +5,7 @@ import matrixhmm as mh
 from matrixhmm import ecm
 from matrixhmm.ecm import _e_step_arrays, cm_step1, cm_step2
 from matrixhmm.structures import derive_parts
-from oracles import brute_force_log_lik, check_posteriors, random_hmm_params
+from oracles import brute_force_posteriors, check_posteriors, random_hmm_params
 
 
 def small_panel(rng, I=6, T=4, P=2, R=2):
@@ -38,13 +38,36 @@ def test_e_step_degenerate_single_state():
     assert post.log_lik == pytest.approx(direct, abs=1e-10)
 
 
-def test_e_step_matches_sequence_enumeration():
+@pytest.mark.parametrize("I, T, K, P, R", [(4, 3, 2, 2, 2), (1, 1, 3, 1, 1),
+                                           (3, 4, 1, 2, 3), (2, 5, 3, 1, 2)])
+def test_e_step_matches_sequence_enumeration(I, T, K, P, R):
     rng = np.random.default_rng(1)
-    X = rng.normal(scale=1.5, size=(4, 3, 2, 2))
-    params = random_hmm_params(2, 2, 2, rng)
+    X = rng.normal(scale=1.5, size=(I, T, P, R))
+    params = random_hmm_params(K, P, R, rng)
     post = _e_step_arrays(X, params)
-    assert post.log_lik == pytest.approx(brute_force_log_lik(X, params), abs=1e-10)
+    log_lik, z, zz = brute_force_posteriors(X, params)
+    assert post.log_lik == pytest.approx(log_lik, abs=1e-10)
+    assert np.max(np.abs(post.z - z)) < 1e-10
+    assert np.max(np.abs(post.zz - zz)) < 1e-10
     check_posteriors(post)
+
+
+def test_e_step_raises_on_a_unit_with_no_reachable_state():
+    # unit 2 jumps to the far state at time 3; a gap of 3200 nats
+    X = np.zeros((2, 3, 2, 2))
+    X[1, 2] = 40.0
+    means = np.stack([np.zeros((2, 2)), np.full((2, 2), 40.0)])
+    eye = np.tile(np.eye(2), (2, 1, 1))
+    stuck = mh.HmmParams(np.array([1.0, 0.0]), np.eye(2), means, eye, eye)
+    with pytest.raises(mh.NumericalError, match="unit 2.*time 3"):
+        _e_step_arrays(X, stuck)
+    leaky = mh.HmmParams(np.array([0.999, 0.001]),
+                         np.array([[0.999, 0.001], [0.001, 0.999]]), means, eye, eye)
+    post = _e_step_arrays(X, leaky)
+    log_lik, z, zz = brute_force_posteriors(X, leaky)
+    assert post.log_lik == pytest.approx(log_lik, rel=1e-12)
+    assert np.max(np.abs(post.z - z)) < 1e-10
+    assert np.max(np.abs(post.zz - zz)) < 1e-10
 
 
 def test_e_step_deterministic_chain():
@@ -65,11 +88,9 @@ def test_e_step_unit_loglik_identity():
     panel = small_panel(rng, I=5, T=6)
     params = random_hmm_params(3, 2, 2, rng)
     post = mh.e_step(panel, params)
-    T = panel.T
-    final = post.log_gamma[:, T - 1, :]
-    m = final.max(axis=1, keepdims=True)
-    unit_ll = (np.log(np.exp(final - m).sum(axis=1)) + m[:, 0])
-    assert post.log_lik == pytest.approx(unit_ll.sum(), abs=1e-10)
+    X = panel.unit_time_stack()
+    unit_ll = [_e_step_arrays(X[i:i + 1], params).log_lik for i in range(panel.I)]
+    assert post.log_lik == pytest.approx(sum(unit_ll), abs=1e-10)
 
 
 def test_e_step_matches_scaled_forward_backward():
@@ -79,6 +100,7 @@ def test_e_step_matches_scaled_forward_backward():
     params = random_hmm_params(3, 2, 2, rng)
     post = _e_step_arrays(X, params)
     I, T, K = post.z.shape
+    log_lik = 0.0
     phi = np.zeros((I, T, K))
     for k in range(K):
         state = params.state(k)
@@ -99,13 +121,12 @@ def test_e_step_matches_scaled_forward_backward():
         for t in range(T - 2, -1, -1):
             beta[t] = (params.Pi @ (phi[i, t + 1] * beta[t + 1])) / scale[t + 1]
         assert np.max(np.abs(alpha * beta - post.z[i])) < 1e-10
-        unit_ll = np.log(scale).sum()
-        m = post.log_gamma[i, T - 1].max()
-        assert abs(unit_ll - (m + np.log(np.exp(post.log_gamma[i, T - 1] - m).sum()))) < 1e-10
+        log_lik += np.log(scale).sum()
         for t in range(1, T):
             zz_ref = (alpha[t - 1][:, None] * params.Pi
                       * (phi[i, t] * beta[t])[None, :]) / scale[t]
             assert np.max(np.abs(zz_ref - post.zz[i, t])) < 1e-10
+    assert abs(log_lik - post.log_lik) < 1e-10
 
 
 def test_e_step_rejects_non_finite_parameters():
@@ -116,6 +137,10 @@ def test_e_step_rejects_non_finite_parameters():
                           np.where(np.isnan(params.means), 0, params.means) * np.nan,
                           params.sigmas, params.psis)
     with pytest.raises(mh.NumericalError):
+        mh.e_step(panel, broken)
+    broken = mh.HmmParams(np.full(2, np.nan), params.Pi, params.means,
+                          params.sigmas, params.psis)
+    with pytest.raises(mh.NumericalError, match="non-finite"):
         mh.e_step(panel, broken)
 
 
@@ -142,7 +167,7 @@ def hard_posteriors(I, T, K, labels):
     for i in range(I):
         for t in range(1, T):
             zz[i, t, labels[i, t - 1], labels[i, t]] = 1.0
-    return mh.Posteriors(z, zz, np.zeros((I, T, K)), np.zeros((I, T, K)), 0.0)
+    return mh.Posteriors(z, zz, 0.0)
 
 
 def test_cm1_hard_assignment_recovers_plain_means():
@@ -197,7 +222,7 @@ def test_cm1_state_collapse_error():
     z = post.z.copy()
     z[:, :, 1] = 1e-9
     z[:, :, 0] = 1.0 - 1e-9
-    broken = mh.Posteriors(z, post.zz, post.log_gamma, post.log_beta, post.log_lik)
+    broken = mh.Posteriors(z, post.zz, post.log_lik)
     with pytest.raises(mh.StateCollapseError, match="state 2"):
         cm_step1(panel, broken, params, "VVV")
 
@@ -206,7 +231,7 @@ def soft_posteriors(rng, I, T, K):
     z = rng.dirichlet(np.ones(K), size=(I, T))
     zz = np.zeros((I, T, K, K))
     zz[:, 1:] = z[:, :-1, :, None] * z[:, 1:, None, :]
-    return mh.Posteriors(z, zz, np.zeros((I, T, K)), np.zeros((I, T, K)), 0.0)
+    return mh.Posteriors(z, zz, 0.0)
 
 
 def loop_scatter(X, z, means, covs, columns):
@@ -320,8 +345,7 @@ def test_decode_one_hot_and_tiebreak():
     z[0, 0] = [0.0, 1.0]
     z[0, 1] = [0.5, 0.5]
     z[0, 2] = [0.7, 0.3]
-    post = mh.Posteriors(z, np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2)),
-                         np.zeros((1, 3, 2)), 0.0)
+    post = mh.Posteriors(z, np.zeros((1, 3, 2, 2)), 0.0)
     assert mh.decode(post).tolist() == [[2, 1, 1]]
 
 

@@ -193,11 +193,16 @@ def test_timing_run_shape_and_overhead_bound():
                          np.zeros((1, 1, 2)), np.eye(1)[None], np.eye(2)[None])
     scen = mh.Scenario("test/tiny", ("EII", "II"), truth, I=12, T=3, replicates=1)
     config = mh.FitConfig(short_runs=2, max_iter=20)
-    rows = mh.timing_run([scen], modes=("parallel", "sequential"), workers=1,
-                         config=config)
-    assert len(rows) == 2
-    by_mode = {row.mode: row.seconds for row in rows}
-    # same work in both modes; a single-worker pool only adds overhead
-    assert by_mode["parallel"] >= 0.9 * by_mode["sequential"]
+    seconds = {"parallel": [], "sequential": []}
+    for rep in range(5):
+        modes = ("parallel", "sequential") if rep % 2 else ("sequential", "parallel")
+        rows = mh.timing_run([scen], modes=modes, workers=1, config=config)
+        assert [row.mode for row in rows] == list(modes)
+        for row in rows:
+            seconds[row.mode].append(row.seconds)
+    # one worker runs in-process, so both modes do the same work; medians of
+    # alternately ordered repetitions keep host noise out of the comparison
+    assert (np.median(seconds["parallel"])
+            >= 0.9 * np.median(seconds["sequential"]))
     with pytest.raises(ValueError, match="unknown timing mode"):
         mh.timing_run([scen], modes=("warp",), config=config)
