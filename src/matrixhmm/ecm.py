@@ -145,6 +145,7 @@ class CmStep1Result(NamedTuple):
     means: np.ndarray
     sigmas: np.ndarray
     parts: SpectralParts | None
+    moments: np.ndarray  # (K, P, R, P, R) per-state moments about ``means``
 
 
 def _log_phi(X: np.ndarray, params: HmmParams) -> np.ndarray:
@@ -224,14 +225,18 @@ def _moments(X: np.ndarray, z: np.ndarray, means: np.ndarray) -> np.ndarray:
     S_k = sum_it z_itk vec(X_it - M_k) vec(X_it - M_k)', one symmetric
     rank-(I T) product per state, returned as a (K, P, R, P, R) stack with
     S_k[p, r, q, s] = sum_it z_itk (X_it - M_k)[p, r] (X_it - M_k)[q, s].
+    Within an ECM iteration :func:`cm_step1` forms them once, about its
+    fresh means, and :func:`cm_step2` reuses them.
     """
     I, T, P, R = X.shape
     K = means.shape[0]
     x = X.reshape(I * T, P * R)
     roots = np.sqrt(z.reshape(I * T, K))
     S = np.empty((K, P * R, P * R))
+    weighted = np.empty_like(x)  # one (I T, P R) buffer for every state
     for k in range(K):
-        weighted = roots[:, k, None] * (x - means[k].reshape(P * R))
+        np.subtract(x, means[k].reshape(P * R), out=weighted)
+        weighted *= roots[:, k, None]
         S[k] = weighted.T @ weighted
     return S.reshape(K, P, R, P, R)
 
@@ -243,8 +248,10 @@ def _scatter(moments: np.ndarray, covs: np.ndarray, what: str) -> np.ndarray:
     the (B, B) covariances; the scatter is the contraction of S_k with
     C_k^-1 over the B axes, so its cost does not grow with I T.  With the
     column covariances as C this is the row scatter Y_k of the first CM
-    step; on the moments with both axis pairs swapped and the row
-    covariances as C it is the column scatter W_k of the second.
+    step; on the same moments with both axis pairs swapped and the row
+    covariances as C it is the column scatter W_k of the second.  The
+    callers form the moments: :func:`cm_step1` forms them and
+    :func:`cm_step2` reuses those, or forms them when called on its own.
     """
     L_inv, _ = _chol_inv_logdet(covs, what)
     inv = np.swapaxes(L_inv, 1, 2) @ L_inv
@@ -269,10 +276,12 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
              sigma_structure: str, warm: SpectralParts | None = None) -> CmStep1Result:
     """Update initial/transition probabilities, means and row covariances.
 
-    The row scatter is built against the previous column covariances; the
-    structure-specific covariance update then runs on it.  ``warm`` may
-    carry the previous volume/orientation split; when omitted it is
-    derived from ``prev``.
+    The row scatter is built against the previous column covariances from
+    the per-state moments about the fresh means; the structure-specific
+    covariance update then runs on it.  ``warm`` may carry the previous
+    volume/orientation split; when omitted it is derived from ``prev``.
+    The moments are returned too, so that :func:`cm_step2` on the same
+    posteriors and means can reuse them.
     """
     X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
@@ -293,23 +302,33 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
 
     means = np.einsum("itk,itpr->kpr", z, X) / weights[:, None, None]
 
-    Y = _scatter(_moments(X, z, means), prev.psis, "column covariance Psi")
+    moments = _moments(X, z, means)
+    Y = _scatter(moments, prev.psis, "column covariance Psi")
     if warm is None:
         warm = derive_parts(prev.sigmas)
     sigmas, parts = update_sigma(sigma_structure, Scatter(Y, weights), warm,
                                  (P, R, I, T))
-    return CmStep1Result(pi, Pi, means, sigmas, parts)
+    return CmStep1Result(pi, Pi, means, sigmas, parts, moments)
 
 
 def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
-             psi_structure: str,
-             warm: SpectralParts | None = None) -> tuple[np.ndarray, SpectralParts | None]:
-    """Update the column covariances given freshly updated row covariances."""
+             psi_structure: str, warm: SpectralParts | None = None, *,
+             moments: np.ndarray | None = None
+             ) -> tuple[np.ndarray, SpectralParts | None]:
+    """Update the column covariances given freshly updated row covariances.
+
+    The column scatter comes from the per-state moments about
+    ``current.means``: ``moments`` when given, which must be
+    ``_moments(X, post.z, current.means)`` (as :func:`cm_step1` returns
+    them), else formed here.
+    """
     X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
     weights = _state_weights(post.z)
-    moments = _moments(X, post.z, current.means).transpose(0, 2, 1, 4, 3)
-    W = _scatter(moments, current.sigmas, "row covariance Sigma")
+    if moments is None:
+        moments = _moments(X, post.z, current.means)
+    W = _scatter(moments.transpose(0, 2, 1, 4, 3), current.sigmas,
+                 "row covariance Sigma")
     if warm is None:
         warm = derive_parts(current.psis)
     return update_psi(psi_structure, Scatter(W, weights), warm, (P, R, I, T))
@@ -326,9 +345,10 @@ def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator)
         raise ValueError(f"cannot draw {K} distinct mean matrices from {I * T} observations")
     pi = np.full(K, 1.0 / K)
     Pi = rng.dirichlet(np.ones(K), size=K)
-    X = panel.unit_time_stack().reshape(I * T, P, R)
     picks = rng.choice(I * T, size=K, replace=False)
-    means = X[picks].copy()
+    # observation i * T + t of the unit-time stack, without copying the panel
+    means = np.ascontiguousarray(
+        np.moveaxis(panel.values[:, :, picks // T, picks % T], -1, 0))
     sigmas = np.tile(np.eye(P), (K, 1, 1))
     psis = np.tile(np.eye(R), (K, 1, 1))
     return HmmParams(pi, Pi, means, sigmas, psis)
@@ -364,12 +384,14 @@ def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
             step1 = cm_step1(X, post, params, sigma_structure, warm=sigma_parts)
             params = HmmParams(step1.pi, step1.Pi, step1.means, step1.sigmas,
                                params.psis)
-            psis, parts = cm_step2(X, post, params, psi_structure, warm=psi_parts)
+            psis, parts = cm_step2(X, post, params, psi_structure,
+                                   warm=psi_parts, moments=step1.moments)
             params = replace(params, psis=psis)
             # structures that keep no parts never read them, so the last
             # parts stay valid warm starts and need no re-derivation
             sigma_parts = step1.parts or sigma_parts
             psi_parts = parts or psi_parts
+            del step1  # frees the (K, PR, PR) moments before the E-step runs
             post = _e_step_arrays(X, params)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc

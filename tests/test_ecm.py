@@ -269,9 +269,12 @@ def test_scatters_match_a_per_observation_loop():
 
     current = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, prev.psis)
     psis, _ = cm_step2(X, post, current, "VV")
+    reused, _ = cm_step2(X, post, current, "VV", moments=step.moments)
+    assert np.array_equal(reused, psis)
     W = loop_scatter(X, z, step.means, step.sigmas, columns=True)
     expected = W / np.linalg.det(W)[:, None, None] ** (1.0 / R)
     assert np.max(np.abs(psis - expected)) < 1e-9 * np.max(np.abs(expected))
+    assert np.max(np.abs(reused - expected)) < 1e-9 * np.max(np.abs(expected))
 
 
 def test_a_state_on_identical_observations_fits_or_raises_a_typed_error():
@@ -329,6 +332,16 @@ def test_random_init_means_are_distinct_observations():
         assert len(rows) == 3
         for m in params.means:
             assert any(np.array_equal(m, x) for x in X)
+    # I != T and P != R: the means are the picked rows of the unit-time
+    # stack, so a swapped unit/time or row/column index shows
+    panel = small_panel(rng, I=5, T=3, P=2, R=4)
+    X = panel.unit_time_stack().reshape(-1, 2, 4)
+    for seed in range(20):
+        params = mh.random_init(panel, 4, ("EII", "II"), np.random.default_rng(seed))
+        replica = np.random.default_rng(seed)
+        replica.dirichlet(np.ones(4), size=4)
+        picks = replica.choice(15, size=4, replace=False)
+        assert np.array_equal(params.means, X[picks])
 
 
 def test_random_init_k_too_large():
@@ -426,6 +439,23 @@ def test_fit_derives_spectral_parts_only_when_a_run_starts(monkeypatch):
     assert report.iterations >= 3
     # at most a row and a column derivation per run: 3 short runs, 1 long
     assert len(calls) <= 2 * (config.short_runs + 1)
+
+
+def test_fit_forms_moments_once_per_iteration(monkeypatch):
+    rng = np.random.default_rng(27)
+    panel, _ = two_state_panel(rng, I=30, T=4, sep=2.0)
+    calls = []
+    original = ecm._moments
+
+    def counting(X, z, means):
+        calls.append(means.shape)
+        return original(X, z, means)
+
+    monkeypatch.setattr(ecm, "_moments", counting)
+    config = mh.FitConfig(short_runs=3, short_iters=2, seed=6)
+    report = mh.fit(panel, "VVV-VV", 2, config)
+    assert report.iterations >= 2
+    assert len(calls) == config.short_runs * config.short_iters + report.iterations
 
 
 def test_fit_all_starts_fail():
