@@ -5,7 +5,10 @@ two conditional-maximization steps update the chain parameters and the row
 covariances first (with the column covariances held fixed), then the column
 covariances given the fresh row covariances.  Fits start from the best of
 many short randomly-initialized runs and continue that candidate until the
-relative log-likelihood change falls below tolerance.
+relative log-likelihood change falls below tolerance.  A random start's
+identity covariances come with their spectral parts built directly; a short
+run closes with a forward-only pass that yields its log-likelihood and no
+posteriors, and the winner's long run opens with a full E-step.
 """
 
 from __future__ import annotations
@@ -160,7 +163,13 @@ def _as_stack(panel_or_stack) -> np.ndarray:
     return np.asarray(panel_or_stack, dtype=float)
 
 
-def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
+def _forward(X: np.ndarray, params: HmmParams):
+    """Rabiner's scaled forward recursion shared by both E-step passes.
+
+    Returns the scaled state densities ``phi`` and forward variables
+    ``alpha``, both time-major (T, I, K) so that every time slice is
+    contiguous, the (T, I, 1) per-step scales and the log-likelihood.
+    """
     I, T, _, _ = X.shape
     K = params.K
     log_phi = _log_phi(X, params)
@@ -172,34 +181,62 @@ def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
     # overflows.  Exact zeros (the M-step makes them when a transition's
     # posterior mass underflows) can leave a unit no reachable state: c_t = 0.
     offsets = log_phi.max(axis=2)
-    phi = np.exp(log_phi - offsets[:, :, None])
+    phi = np.empty((T, I, K))
+    np.subtract(log_phi.transpose(1, 0, 2), offsets.T[:, :, None], out=phi)
+    np.exp(phi, out=phi)
     Pi = params.Pi
-    alpha = np.empty((I, T, K))
-    beta = np.empty((I, T, K))
-    scale = np.empty((I, T))
-    alpha[:, 0] = params.pi * phi[:, 0]
-    with np.errstate(all="ignore"):  # the checks below catch every failure
-        for t in range(T):
-            if t:
-                alpha[:, t] = (alpha[:, t - 1] @ Pi) * phi[:, t]
-            scale[:, t] = alpha[:, t].sum(axis=1)
-            alpha[:, t] /= scale[:, t, None]
-        beta[:, T - 1] = 1.0
-        for t in range(T - 2, -1, -1):
-            beta[:, t] = (phi[:, t + 1] * beta[:, t + 1]) @ Pi.T / scale[:, t + 1, None]
-        z = alpha * beta
+    alpha = np.empty((T, I, K))
+    scale = np.empty((T, I, 1))
+    # the check below and the callers' checks catch every failure
+    with np.errstate(all="ignore"):
+        prev = None
+        for a, p, c in zip(alpha, phi, scale):
+            if prev is None:
+                np.multiply(params.pi, p, out=a)
+            else:
+                np.matmul(prev, Pi, out=a)
+                a *= p
+            np.add.reduce(a, axis=1, keepdims=True, out=c)
+            a /= c
+            prev = a
+        log_lik = float(np.log(scale).sum() + offsets.sum())
     if np.any(scale == 0.0):
-        i, t = np.argwhere(scale == 0.0)[0]
+        # the first unit and time in unit-major order
+        i, t = np.argwhere(scale[:, :, 0].T == 0.0)[0]
         raise NumericalError(
             f"unit {i + 1} has no reachable state at time {t + 1} in E-step")
+    return phi, alpha, scale, log_lik
+
+
+def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
+    phi, alpha, scale, log_lik = _forward(X, params)
+    T, I, K = alpha.shape
+    Pi = params.Pi
+    beta = np.empty((T, I, K))
+    z = np.empty((I, T, K))
+    with np.errstate(all="ignore"):  # the check below catches every failure
+        beta[T - 1] = 1.0
+        for t in range(T - 2, -1, -1):
+            np.matmul(phi[t + 1] * beta[t + 1], Pi.T, out=beta[t])
+            beta[t] /= scale[t + 1]
+        np.multiply(alpha.transpose(1, 0, 2), beta.transpose(1, 0, 2), out=z)
     if not np.all(np.isfinite(z)):
         raise NumericalError("non-finite smoothed memberships in E-step")
 
     zz = np.zeros((I, T, K, K))
-    zz[:, 1:] = (alpha[:, :-1, :, None] * Pi
-                 * (phi[:, 1:] * beta[:, 1:] / scale[:, 1:, None])[:, :, None, :])
-    total = float(np.log(scale).sum() + offsets.sum())
-    return Posteriors(z, zz, total)
+    ahead = (phi[1:] * beta[1:] / scale[1:]).transpose(1, 0, 2)
+    np.multiply(alpha[:-1].transpose(1, 0, 2)[:, :, :, None], Pi, out=zz[:, 1:])
+    zz[:, 1:] *= ahead[:, :, None, :]
+    return Posteriors(z, zz, log_lik)
+
+
+def _log_lik_arrays(X: np.ndarray, params: HmmParams) -> float:
+    """The log-likelihood alone: the forward pass of :func:`_e_step_arrays`,
+    with no backward pass and no posteriors."""
+    *_, log_lik = _forward(X, params)
+    if not np.isfinite(log_lik):
+        raise NumericalError("non-finite log-likelihood in E-step")
+    return log_lik
 
 
 def e_step(panel: MatrixPanel, params: HmmParams) -> Posteriors:
@@ -354,26 +391,35 @@ def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator)
     return HmmParams(pi, Pi, means, sigmas, psis)
 
 
+def _identity_parts(K: int, Q: int) -> SpectralParts:
+    """``derive_parts`` of K identity matrices of size Q, built directly:
+    unit volumes and shapes, and the identity's eigenvectors in descending
+    order (the axis-reversed identity) as orientation."""
+    return SpectralParts(np.ones(K), np.tile(np.eye(Q)[:, ::-1], (K, 1, 1)),
+                         np.ones((K, Q)))
+
+
 class _EcmState(NamedTuple):
     params: HmmParams
-    post: Posteriors
+    log_lik: float
+    post: Posteriors | None  # None when the run was asked for its log L alone
     trace: list
-    sigma_parts: SpectralParts | None
-    psi_parts: SpectralParts | None
+    sigma_parts: SpectralParts
+    psi_parts: SpectralParts
     iterations: int
     converged: bool
 
 
 def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
-             config: FitConfig, max_iter: int,
-             sigma_parts: SpectralParts | None = None,
-             psi_parts: SpectralParts | None = None) -> _EcmState:
-    sigma_structure, psi_structure = pair
-    if sigma_parts is None:
-        sigma_parts = derive_parts(params.sigmas)
-    if psi_parts is None:
-        psi_parts = derive_parts(params.psis)
+             config: FitConfig, max_iter: int, sigma_parts: SpectralParts,
+             psi_parts: SpectralParts, *, posteriors: bool = True) -> _EcmState:
+    """ECM iterations from ``params`` and its spectral parts until
+    convergence or ``max_iter``.
 
+    With ``posteriors=False`` the closing E-step is the forward pass alone:
+    the result carries the log-likelihood and no posteriors.
+    """
+    sigma_structure, psi_structure = pair
     post = _e_step_arrays(X, params)
     log_lik = post.log_lik
     trace = [log_lik]
@@ -392,12 +438,15 @@ def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
             sigma_parts = step1.parts or sigma_parts
             psi_parts = parts or psi_parts
             del step1  # frees the (K, PR, PR) moments before the E-step runs
-            post = _e_step_arrays(X, params)
+            if posteriors or it < max_iter:
+                post = _e_step_arrays(X, params)
+                new_ll = post.log_lik
+            else:
+                post, new_ll = None, _log_lik_arrays(X, params)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
         except DecompositionError as exc:
             raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
-        new_ll = post.log_lik
         trace.append(new_ll)
         iterations = it
         if config.iter_hook is not None:
@@ -407,8 +456,8 @@ def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
             converged = True
             break
         log_lik = new_ll
-    return _EcmState(params, post, trace, sigma_parts, psi_parts, iterations,
-                     converged)
+    return _EcmState(params, log_lik, post if posteriors else None, trace,
+                     sigma_parts, psi_parts, iterations, converged)
 
 
 def _canonical_order(means: np.ndarray) -> list[int]:
@@ -466,7 +515,11 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     Runs ``config.short_runs`` random starts for ``config.short_iters``
     iterations each, continues the one with the best log-likelihood until
     the relative change drops below ``config.tol``, then orders states by
-    the grand mean of their mean matrices.
+    the grand mean of their mean matrices.  Random starts begin from
+    identity covariances with their known spectral parts; a short run
+    closes with a forward-only log-likelihood pass, since only its
+    log-likelihood is compared, and the winner's long run opens with a
+    full E-step.
 
     Raises :class:`FitFailureError` when every start fails numerically.
     """
@@ -487,20 +540,22 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
         rng = np.random.default_rng(child)
         try:
             params0 = random_init(panel, K, pair, rng)
-            state = _run_ecm(X, params0, pair, config, max_iter=config.short_iters)
+            state = _run_ecm(X, params0, pair, config, config.short_iters,
+                             _identity_parts(K, P), _identity_parts(K, R),
+                             posteriors=False)
         except (NumericalError, StateCollapseError) as exc:
             diagnostics.append(f"start {h + 1}: {exc}")
             continue
-        if state.post.log_lik > best_ll:
-            best_ll = state.post.log_lik
+        if state.log_lik > best_ll:
+            best_ll = state.log_lik
             best = state
     if best is None:
         raise FitFailureError(
             f"all {config.short_runs} initializations failed for "
             f"{structure_name(pair)} with K={K}", diagnostics)
 
-    state = _run_ecm(X, best.params, pair, config, max_iter=config.max_iter,
-                     sigma_parts=best.sigma_parts, psi_parts=best.psi_parts)
+    state = _run_ecm(X, best.params, pair, config, config.max_iter,
+                     best.sigma_parts, best.psi_parts)
 
     order = _canonical_order(state.params.means)
     params = _permute_params(state.params, order)

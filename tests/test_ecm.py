@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,8 @@ def test_e_step_matches_sequence_enumeration(I, T, K, P, R):
     assert np.max(np.abs(post.z - z)) < 1e-10
     assert np.max(np.abs(post.zz - zz)) < 1e-10
     check_posteriors(post)
+    # the forward-only pass shares the full E-step's forward recursion
+    assert ecm._log_lik_arrays(X, params) == post.log_lik
 
 
 def test_e_step_raises_on_a_unit_with_no_reachable_state():
@@ -68,6 +72,31 @@ def test_e_step_raises_on_a_unit_with_no_reachable_state():
     assert post.log_lik == pytest.approx(log_lik, rel=1e-12)
     assert np.max(np.abs(post.z - z)) < 1e-10
     assert np.max(np.abs(post.zz - zz)) < 1e-10
+
+
+def test_both_passes_name_the_first_unreachable_unit_in_unit_major_order():
+    # unit 2 is stranded at time 3 and unit 3 at time 2: time-major order
+    # would name unit 3 first
+    X = np.zeros((3, 3, 2, 2))
+    X[1, 2] = 40.0
+    X[2, 1] = 40.0
+    means = np.stack([np.zeros((2, 2)), np.full((2, 2), 40.0)])
+    eye = np.tile(np.eye(2), (2, 1, 1))
+    stuck = mh.HmmParams(np.array([1.0, 0.0]), np.eye(2), means, eye, eye)
+    for e_pass in (_e_step_arrays, ecm._log_lik_arrays):
+        with pytest.raises(mh.NumericalError, match="unit 2 .* time 3 "):
+            e_pass(X, stuck)
+
+
+def test_log_lik_pass_raises_on_a_non_finite_log_lik():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(6, 4, 2, 2))
+    params = random_hmm_params(2, 2, 2, rng)
+    nan_pi = replace(params, pi=np.full(2, np.nan))
+    nan_Pi = replace(params, Pi=np.array([[0.5, 0.5], [np.nan, 0.5]]))
+    for broken in (nan_pi, nan_Pi):
+        with pytest.raises(mh.NumericalError, match="non-finite log-likelihood"):
+            ecm._log_lik_arrays(X, broken)
 
 
 def test_e_step_deterministic_chain():
@@ -424,7 +453,17 @@ def test_fit_trace_monotone_and_posteriors_normalized():
     assert np.max(np.abs(np.linalg.det(report.params.psis) - 1.0)) < 1e-10
 
 
-def test_fit_derives_spectral_parts_only_when_a_run_starts(monkeypatch):
+@pytest.mark.parametrize("K", [1, 2, 4])
+@pytest.mark.parametrize("Q", [1, 2, 3, 8, 10, 30])
+def test_random_start_parts_are_the_derived_parts_of_identities(K, Q):
+    built = ecm._identity_parts(K, Q)
+    derived = derive_parts(np.tile(np.eye(Q), (K, 1, 1)))
+    assert np.array_equal(built.lam, derived.lam)
+    assert np.array_equal(built.Gamma, derived.Gamma)
+    assert np.array_equal(built.Delta, derived.Delta)
+
+
+def test_fit_derives_no_spectral_parts(monkeypatch):
     rng = np.random.default_rng(24)
     panel, _ = two_state_panel(rng, I=40, T=4, sep=2.0)
     calls = []
@@ -437,8 +476,39 @@ def test_fit_derives_spectral_parts_only_when_a_run_starts(monkeypatch):
     config = mh.FitConfig(short_runs=3, seed=5)
     report = mh.fit(panel, "EII-II", 2, config)
     assert report.iterations >= 3
-    # at most a row and a column derivation per run: 3 short runs, 1 long
-    assert len(calls) <= 2 * (config.short_runs + 1)
+    # random starts get their parts built, the long run inherits the winner's
+    assert calls == []
+
+
+def test_short_runs_close_with_a_log_lik_pass(monkeypatch):
+    rng = np.random.default_rng(27)
+    panel, _ = two_state_panel(rng, I=30, T=4, sep=2.0)
+    full, forward_only = [], []
+    e_step, log_lik_pass = ecm._e_step_arrays, ecm._log_lik_arrays
+
+    def counting_e_step(X, params):
+        full.append(params.K)
+        return e_step(X, params)
+
+    def counting_log_lik_pass(X, params):
+        forward_only.append(params.K)
+        return log_lik_pass(X, params)
+
+    monkeypatch.setattr(ecm, "_e_step_arrays", counting_e_step)
+    monkeypatch.setattr(ecm, "_log_lik_arrays", counting_log_lik_pass)
+    config = mh.FitConfig(short_runs=3, short_iters=2, seed=6)
+    report = mh.fit(panel, "VVV-VV", 2, config)
+    assert report.iterations >= 2
+    # each short run: an opening and an in-run E-step, then a closing
+    # log-likelihood pass; the long run opens with a full E-step
+    assert len(full) == config.short_runs * config.short_iters + 1 + report.iterations
+    assert len(forward_only) == config.short_runs
+    start = ecm.random_init(panel, 2, "VVV-VV", np.random.default_rng(6))
+    state = ecm._run_ecm(panel.unit_time_stack(), start, report.structure, config,
+                         2, ecm._identity_parts(2, 2), ecm._identity_parts(2, 2),
+                         posteriors=False)
+    assert state.post is None
+    assert state.log_lik == state.trace[-1]
 
 
 def test_fit_forms_moments_once_per_iteration(monkeypatch):

@@ -192,17 +192,17 @@ def test_timing_run_shape_and_overhead_bound():
     truth = mh.HmmParams(np.array([1.0]), np.array([[1.0]]),
                          np.zeros((1, 1, 2)), np.eye(1)[None], np.eye(2)[None])
     scen = mh.Scenario("test/tiny", ("EII", "II"), truth, I=12, T=3, replicates=1)
-    config = mh.FitConfig(short_runs=2, max_iter=20)
+    config = mh.FitConfig(short_runs=1, max_iter=20)
     seconds = {"parallel": [], "sequential": []}
-    for rep in range(5):
+    for rep in range(21):
         modes = ("parallel", "sequential") if rep % 2 else ("sequential", "parallel")
         rows = mh.timing_run([scen], modes=modes, workers=1, config=config)
         assert [row.mode for row in rows] == list(modes)
         for row in rows:
             seconds[row.mode].append(row.seconds)
-    # one worker runs in-process, so both modes do the same work; medians of
-    # alternately ordered repetitions keep host noise out of the comparison
-    assert (np.median(seconds["parallel"])
-            >= 0.9 * np.median(seconds["sequential"]))
+    # one worker runs in-process, so both modes do the same work; load from
+    # other processes only adds time, so the fastest of many short, alternately
+    # ordered repetitions per mode is the least disturbed measure of each
+    assert min(seconds["parallel"]) >= 0.9 * min(seconds["sequential"])
     with pytest.raises(ValueError, match="unknown timing mode"):
         mh.timing_run([scen], modes=("warp",), config=config)
