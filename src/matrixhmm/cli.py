@@ -15,23 +15,24 @@ from pathlib import Path
 import numpy as np
 
 from . import reports, selection, simulate
-from .ecm import DEFAULT_SEED, FitConfig, fit
+from .ecm import FitConfig, fit
 from .errors import FitError, GridError
 from .panel import load_panel, logit_transform
 from .structures import all_structure_pairs, parse_structure, structure_name
 
 
 def _add_fit_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"master random seed (default {DEFAULT_SEED})")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    defaults = FitConfig()
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help="master random seed (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=defaults.tol,
                         help="relative log-likelihood convergence tolerance")
-    parser.add_argument("--max-iter", type=int, default=500,
+    parser.add_argument("--max-iter", type=int, default=defaults.max_iter,
                         help="maximum ECM iterations after initialization")
-    parser.add_argument("--short-runs", type=int, default=100,
-                        help="number of random short starts (default 100)")
-    parser.add_argument("--short-iters", type=int, default=1,
-                        help="ECM iterations per short start (default 1)")
+    parser.add_argument("--short-runs", type=int, default=defaults.short_runs,
+                        help="number of random short starts (default %(default)s)")
+    parser.add_argument("--short-iters", type=int, default=defaults.short_iters,
+                        help="ECM iterations per short start (default %(default)s)")
 
 
 def _fit_config(args) -> FitConfig:

@@ -1,14 +1,15 @@
 """ECM fitting of hidden Markov models with matrix-normal states.
 
-The expectation step runs Rabiner's scaled forward-backward recursions; the
-two conditional-maximization steps update the chain parameters and the row
-covariances first (with the column covariances held fixed), then the column
-covariances given the fresh row covariances.  Fits start from the best of
-many short randomly-initialized runs and continue that candidate until the
-relative log-likelihood change falls below tolerance.  A random start's
-identity covariances come with their spectral parts built directly; a short
-run closes with a forward-only pass that yields its log-likelihood and no
-posteriors, and the winner's long run opens with a full E-step.
+The expectation step is Rabiner's scaled recursions in two halves: a forward
+pass that yields the log-likelihood and a backward pass that turns it into
+posteriors.  The two conditional-maximization steps update the chain
+parameters and the row covariances first (with the column covariances held
+fixed), then the column covariances given the fresh row covariances.  Fits
+start from the best of many short randomly-initialized runs and continue
+that candidate until the relative log-likelihood change falls below
+tolerance.  The backward pass runs only where a CM step or the report reads
+the posteriors, and the winner's long run continues from its short run's
+last forward pass.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class FitConfig:
     iter_hook: Callable | None = None
 
     def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         if self.short_runs < 1 or self.short_iters < 1:
             raise ValueError("short_runs and short_iters must be >= 1")
         if not self.tol > 0.0:
@@ -163,13 +166,19 @@ def _as_stack(panel_or_stack) -> np.ndarray:
     return np.asarray(panel_or_stack, dtype=float)
 
 
-def _forward(X: np.ndarray, params: HmmParams):
-    """Rabiner's scaled forward recursion shared by both E-step passes.
+class _Forward(NamedTuple):
+    """A forward pass: the scaled state densities ``phi`` and forward
+    variables ``alpha``, both time-major (T, I, K) so that every time slice
+    is contiguous, the (T, I, 1) per-step scales and the log-likelihood."""
 
-    Returns the scaled state densities ``phi`` and forward variables
-    ``alpha``, both time-major (T, I, K) so that every time slice is
-    contiguous, the (T, I, 1) per-step scales and the log-likelihood.
-    """
+    phi: np.ndarray
+    alpha: np.ndarray
+    scale: np.ndarray
+    log_lik: float
+
+
+def _forward(X: np.ndarray, params: HmmParams) -> _Forward:
+    """Rabiner's scaled forward recursion, the first half of the E-step."""
     I, T, _, _ = X.shape
     K = params.K
     log_phi = _log_phi(X, params)
@@ -205,13 +214,16 @@ def _forward(X: np.ndarray, params: HmmParams):
         i, t = np.argwhere(scale[:, :, 0].T == 0.0)[0]
         raise NumericalError(
             f"unit {i + 1} has no reachable state at time {t + 1} in E-step")
-    return phi, alpha, scale, log_lik
+    if not np.isfinite(log_lik):
+        raise NumericalError("non-finite log-likelihood in E-step")
+    return _Forward(phi, alpha, scale, log_lik)
 
 
-def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
-    phi, alpha, scale, log_lik = _forward(X, params)
+def _backward(fwd: _Forward, Pi: np.ndarray) -> Posteriors:
+    """Rabiner's scaled backward recursion, the second half of the E-step:
+    the posteriors of a forward pass made with transition matrix ``Pi``."""
+    phi, alpha, scale, log_lik = fwd
     T, I, K = alpha.shape
-    Pi = params.Pi
     beta = np.empty((T, I, K))
     z = np.empty((I, T, K))
     with np.errstate(all="ignore"):  # the check below catches every failure
@@ -230,13 +242,8 @@ def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
     return Posteriors(z, zz, log_lik)
 
 
-def _log_lik_arrays(X: np.ndarray, params: HmmParams) -> float:
-    """The log-likelihood alone: the forward pass of :func:`_e_step_arrays`,
-    with no backward pass and no posteriors."""
-    *_, log_lik = _forward(X, params)
-    if not np.isfinite(log_lik):
-        raise NumericalError("non-finite log-likelihood in E-step")
-    return log_lik
+def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
+    return _backward(_forward(X, params), params.Pi)
 
 
 def e_step(panel: MatrixPanel, params: HmmParams) -> Posteriors:
@@ -391,39 +398,29 @@ def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator)
     return HmmParams(pi, Pi, means, sigmas, psis)
 
 
-def _identity_parts(K: int, Q: int) -> SpectralParts:
-    """``derive_parts`` of K identity matrices of size Q, built directly:
-    unit volumes and shapes, and the identity's eigenvectors in descending
-    order (the axis-reversed identity) as orientation."""
-    return SpectralParts(np.ones(K), np.tile(np.eye(Q)[:, ::-1], (K, 1, 1)),
-                         np.ones((K, Q)))
-
-
 class _EcmState(NamedTuple):
     params: HmmParams
-    log_lik: float
-    post: Posteriors | None  # None when the run was asked for its log L alone
+    fwd: _Forward  # the forward pass at ``params``
     trace: list
     sigma_parts: SpectralParts
     psi_parts: SpectralParts
-    iterations: int
     converged: bool
 
 
-def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
-             config: FitConfig, max_iter: int, sigma_parts: SpectralParts,
-             psi_parts: SpectralParts, *, posteriors: bool = True) -> _EcmState:
-    """ECM iterations from ``params`` and its spectral parts until
-    convergence or ``max_iter``.
+def _run_ecm(X: np.ndarray, params: HmmParams, fwd: _Forward,
+             pair: tuple[str, str], config: FitConfig, max_iter: int,
+             sigma_parts: SpectralParts, psi_parts: SpectralParts) -> _EcmState:
+    """ECM iterations from ``params``, its forward pass ``fwd`` and its
+    spectral parts until convergence or ``max_iter``.
 
-    With ``posteriors=False`` the closing E-step is the forward pass alone:
-    the result carries the log-likelihood and no posteriors.
+    Each iteration closes with a forward pass, whose log-likelihood decides
+    convergence; its backward pass runs only when another CM step follows
+    to read the posteriors.  The result carries the last forward pass, for
+    the caller to rank or to run :func:`_backward` on.
     """
     sigma_structure, psi_structure = pair
-    post = _e_step_arrays(X, params)
-    log_lik = post.log_lik
-    trace = [log_lik]
-    iterations = 0
+    post = _backward(fwd, params.Pi) if max_iter else None
+    trace = [fwd.log_lik]
     converged = False
     for it in range(1, max_iter + 1):
         try:
@@ -438,26 +435,18 @@ def _run_ecm(X: np.ndarray, params: HmmParams, pair: tuple[str, str],
             sigma_parts = step1.parts or sigma_parts
             psi_parts = parts or psi_parts
             del step1  # frees the (K, PR, PR) moments before the E-step runs
-            if posteriors or it < max_iter:
-                post = _e_step_arrays(X, params)
-                new_ll = post.log_lik
-            else:
-                post, new_ll = None, _log_lik_arrays(X, params)
-        except NumericalError as exc:
+            fwd = _forward(X, params)
+            converged = abs(fwd.log_lik - trace[-1]) < config.tol * abs(trace[-1])
+            if not converged and it < max_iter:
+                post = _backward(fwd, params.Pi)
+        except (NumericalError, DecompositionError) as exc:
             raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
-        except DecompositionError as exc:
-            raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
-        trace.append(new_ll)
-        iterations = it
+        trace.append(fwd.log_lik)
         if config.iter_hook is not None:
-            config.iter_hook(it, params, new_ll)
-        if abs(new_ll - log_lik) < config.tol * abs(log_lik):
-            log_lik = new_ll
-            converged = True
+            config.iter_hook(it, params, fwd.log_lik)
+        if converged:
             break
-        log_lik = new_ll
-    return _EcmState(params, log_lik, post if posteriors else None, trace,
-                     sigma_parts, psi_parts, iterations, converged)
+    return _EcmState(params, fwd, trace, sigma_parts, psi_parts, converged)
 
 
 def _canonical_order(means: np.ndarray) -> list[int]:
@@ -516,10 +505,11 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     iterations each, continues the one with the best log-likelihood until
     the relative change drops below ``config.tol``, then orders states by
     the grand mean of their mean matrices.  Random starts begin from
-    identity covariances with their known spectral parts; a short run
-    closes with a forward-only log-likelihood pass, since only its
-    log-likelihood is compared, and the winner's long run opens with a
-    full E-step.
+    identity covariances with their known spectral parts.  Starts are
+    ranked by the log-likelihood of their last forward pass, with no
+    backward pass; the winner's long run continues from that forward pass,
+    and one backward pass on the long run's last forward pass gives the
+    reported posteriors.
 
     Raises :class:`FitFailureError` when every start fails numerically.
     """
@@ -534,32 +524,35 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
 
     children = np.random.SeedSequence(config.seed).spawn(config.short_runs)
     best: _EcmState | None = None
-    best_ll = -np.inf
     diagnostics = []
     for h, child in enumerate(children):
         rng = np.random.default_rng(child)
         try:
             params0 = random_init(panel, K, pair, rng)
-            state = _run_ecm(X, params0, pair, config, config.short_iters,
-                             _identity_parts(K, P), _identity_parts(K, R),
-                             posteriors=False)
+            state = _run_ecm(X, params0, _forward(X, params0), pair, config,
+                             config.short_iters, SpectralParts.identity(K, P),
+                             SpectralParts.identity(K, R))
         except (NumericalError, StateCollapseError) as exc:
             diagnostics.append(f"start {h + 1}: {exc}")
             continue
-        if state.log_lik > best_ll:
-            best_ll = state.log_lik
+        if best is None or state.fwd.log_lik > best.fwd.log_lik:
             best = state
     if best is None:
         raise FitFailureError(
             f"all {config.short_runs} initializations failed for "
             f"{structure_name(pair)} with K={K}", diagnostics)
 
-    state = _run_ecm(X, best.params, pair, config, config.max_iter,
+    state = _run_ecm(X, best.params, best.fwd, pair, config, config.max_iter,
                      best.sigma_parts, best.psi_parts)
+    try:
+        post = _backward(state.fwd, state.params.Pi)
+    except NumericalError as exc:
+        it = len(state.trace) - 1
+        raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
 
     order = _canonical_order(state.params.means)
     params = _permute_params(state.params, order)
-    post = _permute_posteriors(state.post, order)
+    post = _permute_posteriors(post, order)
     decoded = decode(post)
 
     n_params = selection.n_free_params(pair, K, P, R)
@@ -580,7 +573,7 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
         n_params=n_params,
         bic=bic_value,
         decoded=decoded,
-        iterations=state.iterations,
+        iterations=len(state.trace) - 1,
         converged=state.converged,
         wall_time=wall,
         panel_dims=(P, R, I, T),

@@ -119,7 +119,9 @@ def _fit_cell(args) -> CellResult:
 def _map(fn, tasks, workers: int) -> list:
     """``fn`` applied to every task, results in task order: in-process for
     one worker, otherwise on a pool of ``workers`` processes."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
@@ -139,8 +141,6 @@ def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> Selection
     Results are merged in grid order, so the report does not depend on the
     worker count (wall-clock ``seconds`` aside).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if workers > 1 and grid.config.iter_hook is not None:
         raise ValueError("iter_hook cannot cross process boundaries; use workers=1")
     tasks = []

@@ -85,7 +85,11 @@ class SpectralParts:
 
     @classmethod
     def identity(cls, K: int, Q: int) -> "SpectralParts":
-        return cls(np.ones(K), np.tile(np.eye(Q), (K, 1, 1)), np.ones((K, Q)))
+        """``derive_parts`` of K identity matrices of size Q, built directly:
+        unit volumes and shapes, and the identity's eigenvectors in
+        descending order (the axis-reversed identity) as orientation."""
+        return cls(np.ones(K), np.tile(np.eye(Q)[:, ::-1], (K, 1, 1)),
+                   np.ones((K, Q)))
 
     def covariances(self) -> np.ndarray:
         """Assemble the (K, Q, Q) covariance stack lam * Gamma diag(Delta) Gamma'."""

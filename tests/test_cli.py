@@ -3,7 +3,7 @@ import pytest
 
 import matrixhmm as mh
 from matrixhmm import reports
-from matrixhmm.cli import main
+from matrixhmm.cli import _fit_config, build_parser, main
 
 
 @pytest.fixture()
@@ -37,6 +37,20 @@ def test_fit_unknown_structure_usage_error(two_state_csv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "valid names" in err
     assert "EII" in err and "VVV" in err
+
+
+def test_fit_negative_max_iter_usage_error(two_state_csv, tmp_path, capsys):
+    code = main(["fit", "--data", str(two_state_csv), "--structure", "EII-II",
+                 "--K", "1", "--out-dir", str(tmp_path), "--max-iter", "-3"])
+    assert code == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fit_*.txt"))
+
+
+def test_fit_option_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["fit", "--data", "panel.csv",
+                                      "--structure", "EII-II", "--K", "2"])
+    assert _fit_config(args) == mh.FitConfig()
 
 
 def test_select_single_cell_matches_library(two_state_csv, tmp_path, capsys):

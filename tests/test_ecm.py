@@ -6,7 +6,7 @@ import pytest
 import matrixhmm as mh
 from matrixhmm import ecm
 from matrixhmm.ecm import _e_step_arrays, cm_step1, cm_step2
-from matrixhmm.structures import derive_parts
+from matrixhmm.structures import SpectralParts, derive_parts
 from oracles import brute_force_posteriors, check_posteriors, random_hmm_params
 
 
@@ -52,8 +52,8 @@ def test_e_step_matches_sequence_enumeration(I, T, K, P, R):
     assert np.max(np.abs(post.z - z)) < 1e-10
     assert np.max(np.abs(post.zz - zz)) < 1e-10
     check_posteriors(post)
-    # the forward-only pass shares the full E-step's forward recursion
-    assert ecm._log_lik_arrays(X, params) == post.log_lik
+    # the forward pass alone gives the full E-step's log-likelihood
+    assert ecm._forward(X, params).log_lik == post.log_lik
 
 
 def test_e_step_raises_on_a_unit_with_no_reachable_state():
@@ -83,7 +83,7 @@ def test_both_passes_name_the_first_unreachable_unit_in_unit_major_order():
     means = np.stack([np.zeros((2, 2)), np.full((2, 2), 40.0)])
     eye = np.tile(np.eye(2), (2, 1, 1))
     stuck = mh.HmmParams(np.array([1.0, 0.0]), np.eye(2), means, eye, eye)
-    for e_pass in (_e_step_arrays, ecm._log_lik_arrays):
+    for e_pass in (_e_step_arrays, ecm._forward):
         with pytest.raises(mh.NumericalError, match="unit 2 .* time 3 "):
             e_pass(X, stuck)
 
@@ -95,8 +95,9 @@ def test_log_lik_pass_raises_on_a_non_finite_log_lik():
     nan_pi = replace(params, pi=np.full(2, np.nan))
     nan_Pi = replace(params, Pi=np.array([[0.5, 0.5], [np.nan, 0.5]]))
     for broken in (nan_pi, nan_Pi):
-        with pytest.raises(mh.NumericalError, match="non-finite log-likelihood"):
-            ecm._log_lik_arrays(X, broken)
+        for e_pass in (_e_step_arrays, ecm._forward):
+            with pytest.raises(mh.NumericalError, match="non-finite log-likelihood"):
+                e_pass(X, broken)
 
 
 def test_e_step_deterministic_chain():
@@ -456,7 +457,7 @@ def test_fit_trace_monotone_and_posteriors_normalized():
 @pytest.mark.parametrize("K", [1, 2, 4])
 @pytest.mark.parametrize("Q", [1, 2, 3, 8, 10, 30])
 def test_random_start_parts_are_the_derived_parts_of_identities(K, Q):
-    built = ecm._identity_parts(K, Q)
+    built = SpectralParts.identity(K, Q)
     derived = derive_parts(np.tile(np.eye(Q), (K, 1, 1)))
     assert np.array_equal(built.lam, derived.lam)
     assert np.array_equal(built.Gamma, derived.Gamma)
@@ -480,35 +481,68 @@ def test_fit_derives_no_spectral_parts(monkeypatch):
     assert calls == []
 
 
-def test_short_runs_close_with_a_log_lik_pass(monkeypatch):
+def test_fit_runs_the_backward_pass_only_where_it_is_read(monkeypatch):
     rng = np.random.default_rng(27)
     panel, _ = two_state_panel(rng, I=30, T=4, sep=2.0)
-    full, forward_only = [], []
-    e_step, log_lik_pass = ecm._e_step_arrays, ecm._log_lik_arrays
+    forward, backward = [], []
+    forward_pass, backward_pass = ecm._forward, ecm._backward
 
-    def counting_e_step(X, params):
-        full.append(params.K)
-        return e_step(X, params)
+    def counting_forward(X, params):
+        forward.append(params.K)
+        return forward_pass(X, params)
 
-    def counting_log_lik_pass(X, params):
-        forward_only.append(params.K)
-        return log_lik_pass(X, params)
+    def counting_backward(fwd, Pi):
+        backward.append(Pi.shape)
+        return backward_pass(fwd, Pi)
 
-    monkeypatch.setattr(ecm, "_e_step_arrays", counting_e_step)
-    monkeypatch.setattr(ecm, "_log_lik_arrays", counting_log_lik_pass)
+    monkeypatch.setattr(ecm, "_forward", counting_forward)
+    monkeypatch.setattr(ecm, "_backward", counting_backward)
     config = mh.FitConfig(short_runs=3, short_iters=2, seed=6)
     report = mh.fit(panel, "VVV-VV", 2, config)
     assert report.iterations >= 2
-    # each short run: an opening and an in-run E-step, then a closing
-    # log-likelihood pass; the long run opens with a full E-step
-    assert len(full) == config.short_runs * config.short_iters + 1 + report.iterations
-    assert len(forward_only) == config.short_runs
-    start = ecm.random_init(panel, 2, "VVV-VV", np.random.default_rng(6))
-    state = ecm._run_ecm(panel.unit_time_stack(), start, report.structure, config,
-                         2, ecm._identity_parts(2, 2), ecm._identity_parts(2, 2),
-                         posteriors=False)
-    assert state.post is None
-    assert state.log_lik == state.trace[-1]
+    # a forward pass opens each start and closes every iteration; the long
+    # run continues from the winner's last one
+    assert len(forward) == config.short_runs * (config.short_iters + 1) + report.iterations
+    # a backward pass feeds every CM step, and one more gives the report
+    assert len(backward) == config.short_runs * config.short_iters + report.iterations + 1
+
+
+@pytest.mark.parametrize("max_iter", [500, 0])
+def test_fit_reports_the_posteriors_of_its_parameters(max_iter):
+    rng = np.random.default_rng(28)
+    panel, _ = two_state_panel(rng, I=30, T=4, sep=2.0)
+    config = mh.FitConfig(short_runs=3, seed=7, max_iter=max_iter)
+    report = mh.fit(panel, "VVV-VV", 2, config)
+    assert (report.iterations > 0) == (max_iter > 0)
+    assert len(report.log_lik_trace) == report.iterations + 1
+    post = mh.e_step(panel, report.params)
+    assert np.max(np.abs(report.posteriors.z - post.z)) < 1e-12
+    assert np.max(np.abs(report.posteriors.zz - post.zz)) < 1e-12
+    assert abs(report.log_lik - post.log_lik) < 1e-12
+    assert report.posteriors.log_lik == report.log_lik
+
+
+def test_a_failing_report_backward_pass_names_the_last_iteration(monkeypatch):
+    rng = np.random.default_rng(28)
+    panel, _ = two_state_panel(rng, I=30, T=4, sep=2.0)
+    config = mh.FitConfig(short_runs=3, seed=7)
+    iterations = mh.fit(panel, "VVV-VV", 2, config).iterations
+    run_ecm = ecm._run_ecm
+
+    def broken(fwd, Pi):
+        raise mh.NumericalError("non-finite smoothed memberships in E-step")
+
+    def break_backward_after_the_long_run(X, params, fwd, pair, cfg, max_iter, *parts):
+        state = run_ecm(X, params, fwd, pair, cfg, max_iter, *parts)
+        if max_iter == cfg.max_iter:
+            monkeypatch.setattr(ecm, "_backward", broken)
+        return state
+
+    monkeypatch.setattr(ecm, "_run_ecm", break_backward_after_the_long_run)
+    with pytest.raises(mh.NumericalError,
+                       match=f"^iteration {iterations}: non-finite smoothed") as excinfo:
+        mh.fit(panel, "VVV-VV", 2, config)
+    assert excinfo.value.iteration == iterations
 
 
 def test_fit_forms_moments_once_per_iteration(monkeypatch):
@@ -526,6 +560,11 @@ def test_fit_forms_moments_once_per_iteration(monkeypatch):
     report = mh.fit(panel, "VVV-VV", 2, config)
     assert report.iterations >= 2
     assert len(calls) == config.short_runs * config.short_iters + report.iterations
+
+
+def test_fit_config_rejects_a_negative_max_iter():
+    with pytest.raises(ValueError, match="max_iter"):
+        mh.FitConfig(max_iter=-3)
 
 
 def test_fit_all_starts_fail():

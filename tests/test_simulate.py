@@ -188,6 +188,13 @@ def test_run_scenario_worker_count_does_not_change_results():
     assert seq.alignments == par.alignments
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_scenario_rejects_a_worker_count_below_one(workers):
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2", replicates=1)
+    with pytest.raises(ValueError, match="workers"):
+        mh.run_scenario(scen, mh.FitConfig(short_runs=1), workers=workers)
+
+
 def test_timing_run_shape_and_overhead_bound():
     truth = mh.HmmParams(np.array([1.0]), np.array([[1.0]]),
                          np.zeros((1, 1, 2)), np.eye(1)[None], np.eye(2)[None])
