@@ -146,12 +146,9 @@ class FitReport:
 
 
 class CmStep1Result(NamedTuple):
-    pi: np.ndarray
-    Pi: np.ndarray
-    means: np.ndarray
-    sigmas: np.ndarray
-    parts: SpectralParts | None
-    moments: np.ndarray  # (K, P, R, P, R) per-state moments about ``means``
+    params: HmmParams     # fresh pi, Pi, means and sigmas; the previous psis
+    parts: SpectralParts  # the row split that warm-starts the next call
+    moments: np.ndarray   # (K, P, R, P, R) per-state moments about the means
 
 
 def _log_phi(X: np.ndarray, params: HmmParams) -> np.ndarray:
@@ -324,8 +321,8 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
     the per-state moments about the fresh means; the structure-specific
     covariance update then runs on it.  ``warm`` may carry the previous
     volume/orientation split; when omitted it is derived from ``prev``.
-    The moments are returned too, so that :func:`cm_step2` on the same
-    posteriors and means can reuse them.
+    Returns the new model (with the column covariances of ``prev``), the
+    row split for the next call, and the moments for :func:`cm_step2`.
     """
     X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
@@ -352,19 +349,21 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
         warm = derive_parts(prev.sigmas)
     sigmas, parts = update_sigma(sigma_structure, Scatter(Y, weights), warm,
                                  (P, R, I, T))
-    return CmStep1Result(pi, Pi, means, sigmas, parts, moments)
+    return CmStep1Result(HmmParams(pi, Pi, means, sigmas, prev.psis), parts,
+                         moments)
 
 
 def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
              psi_structure: str, warm: SpectralParts | None = None, *,
              moments: np.ndarray | None = None
-             ) -> tuple[np.ndarray, SpectralParts | None]:
+             ) -> tuple[HmmParams, SpectralParts]:
     """Update the column covariances given freshly updated row covariances.
 
     The column scatter comes from the per-state moments about
     ``current.means``: ``moments`` when given, which must be
     ``_moments(X, post.z, current.means)`` (as :func:`cm_step1` returns
-    them), else formed here.
+    them), else formed here; ``warm`` likewise, from ``current.psis``.
+    Returns ``current`` with the new ``psis``, and the column split.
     """
     X = _as_stack(panel_or_stack)
     I, T, P, R = X.shape
@@ -375,7 +374,8 @@ def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
                  "row covariance Sigma")
     if warm is None:
         warm = derive_parts(current.psis)
-    return update_psi(psi_structure, Scatter(W, weights), warm, (P, R, I, T))
+    psis, parts = update_psi(psi_structure, Scatter(W, weights), warm, (P, R, I, T))
+    return replace(current, psis=psis), parts
 
 
 def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator) -> HmmParams:
@@ -425,15 +425,9 @@ def _run_ecm(X: np.ndarray, params: HmmParams, fwd: _Forward,
     for it in range(1, max_iter + 1):
         try:
             step1 = cm_step1(X, post, params, sigma_structure, warm=sigma_parts)
-            params = HmmParams(step1.pi, step1.Pi, step1.means, step1.sigmas,
-                               params.psis)
-            psis, parts = cm_step2(X, post, params, psi_structure,
-                                   warm=psi_parts, moments=step1.moments)
-            params = replace(params, psis=psis)
-            # structures that keep no parts never read them, so the last
-            # parts stay valid warm starts and need no re-derivation
-            sigma_parts = step1.parts or sigma_parts
-            psi_parts = parts or psi_parts
+            params, psi_parts = cm_step2(X, post, step1.params, psi_structure,
+                                         warm=psi_parts, moments=step1.moments)
+            sigma_parts = step1.parts
             del step1  # frees the (K, PR, PR) moments before the E-step runs
             fwd = _forward(X, params)
             converged = abs(fwd.log_lik - trace[-1]) < config.tol * abs(trace[-1])

@@ -8,6 +8,7 @@ row; the cross-product of the four key columns must be complete.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -125,6 +126,8 @@ def load_panel(path, delimiter: str = ",") -> MatrixPanel:
             value = float(raw)
         except ValueError:
             raise ValueError(f"line {lineno}: could not parse value {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: value {raw!r} is not finite")
         key = (unit, time, row, col)
         if key in cells:
             raise ValueError(
@@ -163,6 +166,11 @@ def save_panel(panel: MatrixPanel, path, delimiter: str = ",") -> None:
     P, R, I, T = panel.dims
     units = panel.unit_labels or tuple(str(i) for i in range(1, I + 1))
     times = panel.time_labels or tuple(str(t) for t in range(1, T + 1))
+    for label in units + times:
+        # load_panel splits the text with str.splitlines, then on the delimiter
+        if delimiter in label or len(f"{label}.".splitlines()) > 1:
+            raise ValueError(f"label {label!r} contains the delimiter "
+                             f"{delimiter!r} or a line break")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(PANEL_COLUMNS) + "\n")
         for i, t, p, r in product(range(I), range(T), range(P), range(R)):

@@ -147,22 +147,28 @@ def load_fit_report(path) -> FitReport:
     means, sigmas, psis = _read_state_blocks(reader, K, P, R)
     trace = np.array([float(x) for x in reader.expect("log_lik_trace").split()])
     reader.expect("decoded")
-    decoded = reader.matrix(I).astype(int)
-    unit_labels = time_labels = None
+    try:
+        decoded = np.array([reader.next().split() for _ in range(I)], dtype=int)
+    except ValueError:  # ragged rows or a label that is not an integer
+        decoded = None
+    if decoded is None or decoded.shape != (I, T) or np.any((decoded < 1) | (decoded > K)):
+        raise ValueError(f"{path}: decoded must be {I} rows of {T} state labels in 1..{K}")
+    labels = {"unit_labels": None, "time_labels": None}
     while reader.pos < len(reader.lines):
         line = reader.next()
-        key, _, rest = line.partition(":")
-        if key.strip() == "unit_labels":
-            unit_labels = tuple(rest.strip().split(","))
-        elif key.strip() == "time_labels":
-            time_labels = tuple(rest.strip().split(","))
-        else:
+        key, _, rest = (part.strip() for part in line.partition(":"))
+        if key not in labels:
             raise ValueError(f"{path}: unexpected line {line.strip()!r}")
+        labels[key] = tuple(rest.split(","))
+        expected = I if key == "unit_labels" else T
+        if len(labels[key]) != expected:
+            raise ValueError(f"{path}: {key} has {len(labels[key])} entries, "
+                             f"expected {expected}")
     params = HmmParams(pi, Pi, means, sigmas, psis)
     empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), log_lik)
     return FitReport(pair, params, empty, log_lik, trace, n_params, bic_value,
                      decoded, iterations, converged, wall_time, (P, R, I, T),
-                     warnings, unit_labels, time_labels)
+                     warnings, labels["unit_labels"], labels["time_labels"])
 
 
 def scenario_text(scenario: Scenario) -> str:

@@ -14,7 +14,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import selection
 from .ecm import DEFAULT_SEED, FitConfig, FitReport, HmmParams, fit
@@ -183,6 +182,9 @@ def align_states(estimated: HmmParams, truth: HmmParams) -> np.ndarray:
     with true state k, minimizing the summed squared Frobenius distance
     between the paired mean matrices (exact assignment search).
     """
+    # imported here: scipy.optimize would take most of `import matrixhmm`
+    from scipy.optimize import linear_sum_assignment
+
     if estimated.K != truth.K:
         raise ValueError(f"state counts differ: {estimated.K} vs {truth.K}")
     diff = truth.means[:, None] - estimated.means[None, :]

@@ -73,14 +73,14 @@ class Scatter(NamedTuple):
 class SpectralParts:
     """Volume / orientation / shape split carried between iterations.
 
-    Only the components a structure re-reads are meaningful: the volumes
-    ``lam`` for the row structures with varying volume (V tags), the shared
-    orientation ``Gamma`` plus shapes ``Delta`` for the VE shape (EVE, VVE
-    and the column structure VE).
+    Every update takes one and returns one, passing on the components it
+    does not estimate.  The volumes ``lam`` are re-read by the row
+    structures with varying volume (V tags), the shared orientation
+    ``Gamma`` and shapes ``Delta`` by the VE shape (EVE, VVE and VE).
     """
 
     lam: np.ndarray    # (K,)
-    Gamma: np.ndarray  # (K, Q, Q), rows of shared structures identical
+    Gamma: np.ndarray  # (Q, Q), one orientation shared by every state
     Delta: np.ndarray  # (K, Q), positive with unit product per state
 
     @classmethod
@@ -88,13 +88,12 @@ class SpectralParts:
         """``derive_parts`` of K identity matrices of size Q, built directly:
         unit volumes and shapes, and the identity's eigenvectors in
         descending order (the axis-reversed identity) as orientation."""
-        return cls(np.ones(K), np.tile(np.eye(Q)[:, ::-1], (K, 1, 1)),
-                   np.ones((K, Q)))
+        return cls(np.ones(K), np.eye(Q)[:, ::-1], np.ones((K, Q)))
 
     def covariances(self) -> np.ndarray:
         """Assemble the (K, Q, Q) covariance stack lam * Gamma diag(Delta) Gamma'."""
         return self.lam[:, None, None] * np.einsum(
-            "kpq,kq,krq->kpr", self.Gamma, self.Delta, self.Gamma)
+            "pq,kq,rq->kpr", self.Gamma, self.Delta, self.Gamma)
 
 
 class MmResult(NamedTuple):
@@ -196,62 +195,59 @@ def derive_parts(covariances: np.ndarray) -> SpectralParts:
     exactly.
     """
     covs = np.asarray(covariances, dtype=float)
-    K, Q, _ = covs.shape
     lam = _det_root(covs, "covariance")
     _, Gamma = _eigh_descending(covs[0])
     Delta = np.einsum("pq,kpr,rq->kq", Gamma, covs, Gamma) / lam[:, None]
     Delta = np.maximum(Delta, 1e-300)
     Delta /= _geomean(Delta, "derived shape")[:, None]
-    return SpectralParts(lam, np.tile(Gamma, (K, 1, 1)), Delta)
+    return SpectralParts(lam, Gamma, Delta)
 
 
 def _update_shape(structure: str, A: np.ndarray,
-                  prev: SpectralParts | None) -> tuple[np.ndarray, SpectralParts | None]:
+                  prev: SpectralParts) -> tuple[np.ndarray, SpectralParts]:
     """Unit-determinant C_k of a column structure minimizing sum_k tr(A_k C_k^-1).
 
-    Returns the (K, Q, Q) stack and, for VE, the shared orientation and
-    the shapes that warm-start the next call (``None`` otherwise).
+    Returns the (K, Q, Q) stack and the parts for the next call: VE's
+    new orientation and shapes with unit volumes, ``prev`` otherwise.
     """
     K, Q, _ = A.shape
     eye = np.eye(Q)
     if structure == "II":
-        return np.tile(eye, (K, 1, 1)), None
+        return np.tile(eye, (K, 1, 1)), prev
 
     if structure in ("EI", "VI"):
         d = np.diagonal(A, axis1=1, axis2=2)
         if structure == "EI":
             d = np.tile(d.sum(axis=0), (K, 1))
         deltas = d / _geomean(d, "scatter")[:, None]
-        return np.einsum("kq,pq->kpq", deltas, eye), None
+        return np.einsum("kq,pq->kpq", deltas, eye), prev
 
     if structure == "EE":
         pooled = A.sum(axis=0)
         pooled = 0.5 * (pooled + pooled.T)
         C = pooled / _det_root(pooled, "pooled scatter")
-        return np.tile(C, (K, 1, 1)), None
+        return np.tile(C, (K, 1, 1)), prev
 
     if structure == "VE":
-        init = prev.Gamma[0] if prev is not None else eye
-        prev_delta = prev.Delta if prev is not None else np.ones((K, Q))
-        Gamma = mm_orientation(A, prev_delta, init).Gamma
+        Gamma = mm_orientation(A, prev.Delta, prev.Gamma).Gamma
         rotated = np.einsum("pq,kpr,rq->kq", Gamma, A, Gamma)
         deltas = rotated / _geomean(rotated, "rotated scatter")[:, None]
-        C = np.einsum("pq,kq,rq->kpr", Gamma, deltas, Gamma)
-        return C, SpectralParts(np.ones(K), np.tile(Gamma, (K, 1, 1)), deltas)
+        parts = SpectralParts(np.ones(K), Gamma, deltas)
+        return parts.covariances(), parts
 
     if structure == "EV":
         omega, L = _eigh_descending(A)
         pooled = omega.sum(axis=0)
         delta = pooled / _geomean(pooled, "pooled eigenvalues")
-        return np.einsum("kpq,q,krq->kpr", L, delta, L), None
+        return np.einsum("kpq,q,krq->kpr", L, delta, L), prev
 
     # VV, the unconstrained shape
     S = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-    return S / _det_root(S, "scatter")[:, None, None], None
+    return S / _det_root(S, "scatter")[:, None, None], prev
 
 
 def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
-                 dims: tuple[int, int, int, int]) -> tuple[np.ndarray, SpectralParts | None]:
+                 dims: tuple[int, int, int, int]) -> tuple[np.ndarray, SpectralParts]:
     """Conditional-maximization update of the per-state row covariances.
 
     The shape step of the column structure ``structure[1:]`` runs on the
@@ -267,15 +263,15 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
         Row scatter matrices Y_k (built against the previous column
         covariances) and state weights.
     prev : SpectralParts or None
-        Previous volume/orientation/shape split; ``None`` stands for
-        identity covariances.  V tags read the volumes ``prev.lam``; the
-        VE shape (EVE, VVE) reads ``prev.Gamma`` and ``prev.Delta``.
+        Previous volume/orientation/shape split; ``None`` is that of
+        identity covariances, ``SpectralParts.identity(K, P)``.  V tags
+        read ``prev.lam``; EVE and VVE read ``prev.Gamma`` and ``prev.Delta``.
     dims : (P, R, I, T) panel dimensions.
 
     Returns
     -------
-    (sigmas, parts) : the (K, P, P) updated covariances and the parts to
-    pass back on the next call (None for structures that read none).
+    (sigmas, parts) : the (K, P, P) updated covariances and the parts for
+    the next call: the new volumes with :func:`_update_shape`'s parts.
     """
     if structure not in SIGMA_STRUCTURES:
         raise ValueError(f"unknown row structure {structure!r}")
@@ -284,10 +280,11 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     P, R, I, T = dims
     if Q != P:
         raise ValueError(f"scatter dimension {Q} does not match P={P}")
+    prev = SpectralParts.identity(K, Q) if prev is None else prev
     varying = structure[0] == "V"
     # with state volumes the shape target is sum_k tr(Y_k C_k^-1) / lam_k;
     # a common volume does not move its argmin
-    A = Y / prev.lam[:, None, None] if varying and prev is not None else Y
+    A = Y / prev.lam[:, None, None] if varying else Y
     C, parts = _update_shape(structure[1:], A, prev)
     try:
         C_inv = np.linalg.inv(C)
@@ -297,28 +294,26 @@ def update_sigma(structure: str, scatter: Scatter, prev: SpectralParts | None,
     q = np.einsum("kpq,kqp->k", C_inv, Y) / (P * R)
     lam = q / w if varying else np.full(K, q.sum() / (I * T))
     _require_positive(lam, f"{structure} volumes")
-    if varying:
-        parts = parts or SpectralParts.identity(K, Q)
-    if parts is not None:
-        parts = replace(parts, lam=lam)
-    return lam[:, None, None] * C, parts
+    return lam[:, None, None] * C, replace(parts, lam=lam)
 
 
 def update_psi(structure: str, scatter: Scatter, prev: SpectralParts | None,
-               dims: tuple[int, int, int, int]) -> tuple[np.ndarray, SpectralParts | None]:
+               dims: tuple[int, int, int, int]) -> tuple[np.ndarray, SpectralParts]:
     """Conditional-maximization update of the per-state column covariances.
 
     The column scatter matrices W_k must be built against the freshly
     updated row covariances.  This is the shape step itself: every output
     has unit determinant, and the identity structure II estimates nothing.
-    Only VE reads ``prev`` (its orientation and shapes).
+    Only VE reads ``prev`` (its orientation and shapes); ``None`` is
+    ``SpectralParts.identity(K, R)``.  Returns :func:`_update_shape`'s.
     """
     if structure not in PSI_STRUCTURES:
         raise ValueError(f"unknown column structure {structure!r}")
     W, _ = _check_scatter(scatter)
-    Q, R = W.shape[1], dims[1]
-    if Q != R:
-        raise ValueError(f"scatter dimension {Q} does not match R={R}")
+    K, Q, _ = W.shape
+    if Q != dims[1]:
+        raise ValueError(f"scatter dimension {Q} does not match R={dims[1]}")
+    prev = SpectralParts.identity(K, Q) if prev is None else prev
     try:
         return _update_shape(structure, W, prev)
     except DecompositionError as exc:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import matrixhmm as mh
 from matrixhmm import reports
 from matrixhmm.cli import _fit_config, build_parser, main
+from oracles import fabricate_report, random_hmm_params
 
 
 @pytest.fixture()
@@ -157,6 +160,16 @@ def test_decode_corrupt_report(tmp_path, capsys):
     bad.write_text("garbage\n", encoding="utf-8")
     assert main(["decode", "--report", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "not a fit report" in capsys.readouterr().err
+
+
+def test_decode_malformed_report_writes_no_table(tmp_path, capsys):
+    params = random_hmm_params(2, 2, 2, np.random.default_rng(0))
+    report = fabricate_report(params, (2, 2, 3, 4))
+    bad = tmp_path / "fit.txt"
+    reports.save_fit_report(replace(report, decoded=np.full((3, 4), 9)), bad)
+    assert main(["decode", "--report", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert "fit.txt: decoded" in capsys.readouterr().err
+    assert not (tmp_path / "states.csv").exists()
 
 
 def test_fit_refit_recovers_transition_matrix(tmp_path):

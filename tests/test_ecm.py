@@ -208,7 +208,7 @@ def test_cm1_hard_assignment_recovers_plain_means():
     prev = random_hmm_params(2, 2, 2, rng)
     prev = mh.HmmParams(prev.pi, prev.Pi, prev.means,
                         np.tile(np.eye(2), (2, 1, 1)), np.tile(np.eye(2), (2, 1, 1)))
-    step = cm_step1(panel, post, prev, "VVV")
+    step = cm_step1(panel, post, prev, "VVV").params
     X = panel.unit_time_stack()
     for k in range(2):
         mask = labels == k
@@ -224,11 +224,12 @@ def test_cm_steps_do_not_decrease_complete_loglik():
         params = random_hmm_params(2, 2, 2, rng)
         post = mh.e_step(panel, params)
         before = mh.expected_complete_loglik(panel, post, params)
-        step = cm_step1(panel, post, params, pair[0])
-        mid = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, params.psis)
+        mid = cm_step1(panel, post, params, pair[0]).params
+        assert np.array_equal(mid.psis, params.psis)
         assert mh.expected_complete_loglik(panel, post, mid) >= before - 1e-8 * abs(before)
-        psis, _ = cm_step2(panel, post, mid, pair[1])
-        final = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, psis)
+        final = cm_step2(panel, post, mid, pair[1])[0]
+        for name in ("pi", "Pi", "means", "sigmas"):
+            assert np.array_equal(getattr(final, name), getattr(mid, name)), name
         after = mh.expected_complete_loglik(panel, post, final)
         assert after >= before - 1e-8 * abs(before), pair
 
@@ -238,9 +239,8 @@ def test_cm2_identity_structure():
     panel = small_panel(rng, I=10, T=3)
     params = random_hmm_params(2, 2, 2, rng)
     post = mh.e_step(panel, params)
-    step = cm_step1(panel, post, params, "VVV")
-    current = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, params.psis)
-    psis, _ = cm_step2(panel, post, current, "II")
+    current = cm_step1(panel, post, params, "VVV").params
+    psis = cm_step2(panel, post, current, "II")[0].psis
     assert np.array_equal(psis, np.tile(np.eye(2), (2, 1, 1)))
 
 
@@ -292,16 +292,16 @@ def test_scatters_match_a_per_observation_loop():
                       for k in range(K)])
 
     step = cm_step1(X, post, prev, "VVV")
+    current = step.params
     Y = loop_scatter(X, z, means, prev.psis, columns=False)
     sigmas = Y / (R * w[:, None, None])
-    assert np.max(np.abs(step.means - means)) < 1e-9 * 1e4
-    assert np.max(np.abs(step.sigmas - sigmas)) < 1e-9 * np.max(np.abs(sigmas))
+    assert np.max(np.abs(current.means - means)) < 1e-9 * 1e4
+    assert np.max(np.abs(current.sigmas - sigmas)) < 1e-9 * np.max(np.abs(sigmas))
 
-    current = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, prev.psis)
-    psis, _ = cm_step2(X, post, current, "VV")
-    reused, _ = cm_step2(X, post, current, "VV", moments=step.moments)
+    psis = cm_step2(X, post, current, "VV")[0].psis
+    reused = cm_step2(X, post, current, "VV", moments=step.moments)[0].psis
     assert np.array_equal(reused, psis)
-    W = loop_scatter(X, z, step.means, step.sigmas, columns=True)
+    W = loop_scatter(X, z, current.means, current.sigmas, columns=True)
     expected = W / np.linalg.det(W)[:, None, None] ** (1.0 / R)
     assert np.max(np.abs(psis - expected)) < 1e-9 * np.max(np.abs(expected))
     assert np.max(np.abs(reused - expected)) < 1e-9 * np.max(np.abs(expected))
@@ -318,10 +318,9 @@ def test_a_state_on_identical_observations_fits_or_raises_a_typed_error():
     prev = random_hmm_params(2, P, R, rng)
     for row, col in zip(mh.SIGMA_STRUCTURES, 2 * mh.PSI_STRUCTURES):
         try:
-            step = cm_step1(X, post, prev, row)
-            assert np.all(np.isfinite(step.sigmas)), row
-            current = mh.HmmParams(step.pi, step.Pi, step.means, step.sigmas, prev.psis)
-            psis, _ = cm_step2(X, post, current, col)
+            current = cm_step1(X, post, prev, row).params
+            assert np.all(np.isfinite(current.sigmas)), row
+            psis = cm_step2(X, post, current, col)[0].psis
             assert np.all(np.isfinite(psis)), (row, col)
         except (mh.FitError, ValueError) as exc:
             assert type(exc) is not np.linalg.LinAlgError, (row, col, exc)

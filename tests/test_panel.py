@@ -57,6 +57,26 @@ def test_load_non_numeric_value_names_line(tmp_path):
         load_panel(path)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_load_non_finite_value_names_line(tmp_path, raw):
+    rows = full_rows()
+    rows[4] = f"1,2,1,1,{raw}"
+    path = tmp_path / "panel.csv"
+    write_panel_file(path, rows)
+    with pytest.raises(ValueError, match=f"line 6: value '{raw}' is not finite"):
+        load_panel(path)
+
+
+@pytest.mark.parametrize("delimiter, label", [(",", "a,b"), (";", "a;b"),
+                                              (",", "a\nb"), (",", "a\r")])
+def test_save_rejects_a_label_that_would_not_load_back(tmp_path, delimiter, label):
+    panel = MatrixPanel(np.zeros((1, 1, 2, 1)), unit_labels=["u1", label])
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="label .* contains the delimiter"):
+        save_panel(panel, path, delimiter=delimiter)
+    assert not path.exists()
+
+
 def test_load_bad_header(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_file(path, full_rows(), header="a,b,c,d,e")

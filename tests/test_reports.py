@@ -48,6 +48,31 @@ def test_fit_report_rejects_garbage(tmp_path):
         reports.load_fit_report(path)
 
 
+def corrupt_report_text(case):
+    """A fit report (K=2, I=20, T=5) with one malformed block."""
+    lines = reports.fit_report_text(fitted_report()).splitlines()
+    first_row = lines.index("decoded:") + 1
+    if case == "short-rows":  # every row one label short: a (20, 4) block
+        for n in range(first_row, first_row + 20):
+            lines[n] = lines[n].rsplit(" ", 1)[0]
+    elif case == "unit-labels":
+        at = next(n for n, ln in enumerate(lines) if ln.startswith("unit_labels:"))
+        lines[at] = "unit_labels: u1,u2"
+    else:  # a state label beyond K
+        lines[first_row] = "  9" + lines[first_row][3:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case, key", [("short-rows", "decoded"),
+                                       ("unit-labels", "unit_labels"),
+                                       ("label-beyond-K", "decoded")])
+def test_fit_report_rejects_a_malformed_decoded_block(tmp_path, case, key):
+    path = tmp_path / "fit.txt"
+    path.write_text(corrupt_report_text(case), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"fit.txt: {key} "):
+        reports.load_fit_report(path)
+
+
 def test_scenario_roundtrip(tmp_path):
     scen = mh.get_scenario("VVE-VE/K4/T10/overlap1", replicates=7)
     path = tmp_path / "scenario.txt"

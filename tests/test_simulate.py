@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -213,3 +218,13 @@ def test_timing_run_shape_and_overhead_bound():
     assert min(seconds["parallel"]) >= 0.9 * min(seconds["sequential"])
     with pytest.raises(ValueError, match="unknown timing mode"):
         mh.timing_run([scen], modes=("warp",), config=config)
+
+
+def test_import_leaves_scipy_unloaded():
+    # align_states imports scipy.optimize when it runs, not at import
+    src = str(Path(mh.__file__).resolve().parents[1])
+    code = ("import sys, matrixhmm; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

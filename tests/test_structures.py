@@ -139,10 +139,43 @@ def test_every_sigma_update_is_spd_with_shared_parts():
         if structure in ("EII", "EEI", "EEE"):
             assert np.array_equal(sigmas[0], sigmas[1])
             assert np.array_equal(sigmas[0], sigmas[2])
-        if parts is not None and structure in ("EVE", "VVE"):
-            assert np.array_equal(parts.Gamma[0], parts.Gamma[1])
-        if parts is not None and structure in ("VEE", "VEV"):
-            assert np.array_equal(parts.Delta[0], parts.Delta[1])
+        if structure in ("EVE", "VVE"):
+            # the one orientation diagonalizes every state
+            rotated = parts.Gamma.T @ sigmas @ parts.Gamma
+            off = rotated - np.einsum("kpp,pq->kpq", rotated, np.eye(3))
+            assert np.max(np.abs(off)) < 1e-12 * np.max(np.abs(rotated)), structure
+        if structure in ("VEE", "VEV"):
+            # one shape: the states differ by their volumes lam_k only
+            shapes = np.linalg.eigvalsh(sigmas / parts.lam[:, None, None])
+            assert np.allclose(shapes, shapes[0], rtol=1e-12, atol=0), structure
+
+
+@pytest.mark.parametrize("structure", SIGMA_STRUCTURES + PSI_STRUCTURES)
+def test_no_parts_are_the_identity_parts(structure):
+    row = structure in SIGMA_STRUCTURES
+    update, dims = (update_sigma, DIMS) if row else (update_psi, (2, 3, 40, 5))
+    sc = scaled_scatter(3, dims[0] if row else dims[1], np.random.default_rng(11), dims)
+    K, Q = sc.matrices.shape[:2]
+    covs, parts = update(structure, sc, None, dims)
+    same_covs, same_parts = update(structure, sc, SpectralParts.identity(K, Q), dims)
+    assert np.array_equal(covs, same_covs)
+    for name in ("lam", "Gamma", "Delta"):
+        assert np.array_equal(getattr(parts, name), getattr(same_parts, name)), name
+
+
+@pytest.mark.parametrize("structure", SIGMA_STRUCTURES + PSI_STRUCTURES)
+def test_every_update_returns_parts_with_one_orientation(structure):
+    row = structure in SIGMA_STRUCTURES
+    update, dims = (update_sigma, DIMS) if row else (update_psi, (2, 3, 40, 5))
+    sc = scaled_scatter(3, dims[0] if row else dims[1], np.random.default_rng(12), dims)
+    K, Q = sc.matrices.shape[:2]
+    _, parts = update(structure, sc, None, dims)
+    for _ in range(2):
+        assert isinstance(parts, SpectralParts)
+        assert parts.lam.shape == (K,)
+        assert parts.Gamma.shape == (Q, Q)
+        assert parts.Delta.shape == (K, Q)
+        _, parts = update(structure, sc, parts, dims)
 
 
 def test_every_psi_update_has_unit_determinant():
@@ -218,8 +251,7 @@ def test_spectral_reconstruction_roundtrip():
     rng = np.random.default_rng(10)
     K, Q = 3, 3
     lam = rng.uniform(0.5, 4.0, K)
-    shared = np.linalg.qr(rng.normal(size=(Q, Q)))[0]
-    Gamma = np.tile(shared, (K, 1, 1))
+    Gamma = np.linalg.qr(rng.normal(size=(Q, Q)))[0]
     Delta = np.stack([separated_descending(rng, Q) for _ in range(K)])
     Delta /= np.exp(np.mean(np.log(Delta), axis=1))[:, None]
     parts = SpectralParts(lam, Gamma, Delta)
