@@ -95,6 +95,25 @@ def _ordered_labels(raw) -> list[str]:
         return sorted(labels)
 
 
+def _check_labels(labels, separator: str, name: str) -> None:
+    """Reject labels that a file split on ``separator`` cannot give back.
+
+    Readers split the text with str.splitlines, then on the separator, and
+    strip blanks, so a label may hold neither a separator nor a line break,
+    may not differ from its ``strip()``, and may not repeat.
+    """
+    seen = set()
+    for label in labels:
+        if separator in label or len(f"{label}.".splitlines()) > 1:
+            raise ValueError(f"{name}: label {label!r} contains the delimiter "
+                             f"{separator!r} or a line break")
+        if label != label.strip():
+            raise ValueError(f"{name}: label {label!r} has leading or trailing blanks")
+        if label in seen:
+            raise ValueError(f"{name}: label {label!r} appears more than once")
+        seen.add(label)
+
+
 def load_panel(path, delimiter: str = ",") -> MatrixPanel:
     """Read a long-format delimited file into a :class:`MatrixPanel`.
 
@@ -144,12 +163,15 @@ def load_panel(path, delimiter: str = ",") -> MatrixPanel:
     times = _ordered_labels(k[1] for k in cells)
     rows = _ordered_labels(k[2] for k in cells)
     cols = _ordered_labels(k[3] for k in cells)
-    for unit, time, row, col in product(units, times, rows, cols):
-        if (unit, time, row, col) not in cells:
-            raise ValueError(
-                f"incomplete panel: missing cell (unit={unit}, time={time}, "
-                f"row_level={row}, col_level={col})"
-            )
+    # keys are distinct and drawn from the four label sets, so the count
+    # proves completeness; the walk only names the first missing cell
+    if len(cells) != len(units) * len(times) * len(rows) * len(cols):
+        for unit, time, row, col in product(units, times, rows, cols):
+            if (unit, time, row, col) not in cells:
+                raise ValueError(
+                    f"incomplete panel: missing cell (unit={unit}, time={time}, "
+                    f"row_level={row}, col_level={col})"
+                )
 
     values = np.empty((len(rows), len(cols), len(units), len(times)))
     row_idx = {lab: n for n, lab in enumerate(rows)}
@@ -166,11 +188,8 @@ def save_panel(panel: MatrixPanel, path, delimiter: str = ",") -> None:
     P, R, I, T = panel.dims
     units = panel.unit_labels or tuple(str(i) for i in range(1, I + 1))
     times = panel.time_labels or tuple(str(t) for t in range(1, T + 1))
-    for label in units + times:
-        # load_panel splits the text with str.splitlines, then on the delimiter
-        if delimiter in label or len(f"{label}.".splitlines()) > 1:
-            raise ValueError(f"label {label!r} contains the delimiter "
-                             f"{delimiter!r} or a line break")
+    _check_labels(units, delimiter, "unit_labels")
+    _check_labels(times, delimiter, "time_labels")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(PANEL_COLUMNS) + "\n")
         for i, t, p, r in product(range(I), range(T), range(P), range(R)):

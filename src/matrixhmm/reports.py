@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ecm import FitReport, HmmParams, Posteriors
+from .panel import _check_labels
 from .selection import SelectionReport
 from .simulate import RecoveryReport, Scenario
 from .structures import parse_structure, structure_name
@@ -26,70 +27,110 @@ def _vector_line(vec) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(vec).ravel())
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = [ln for ln in text.splitlines() if ln.strip()]
-        self.pos = 0
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
-    def next(self) -> str:
+
+def _model_text(magic: str, head, pair, params: HmmParams, I: int, T: int,
+                middle, tail) -> str:
+    """The layout fit reports and scenario files share: magic and version,
+    the caller's ``head`` lines, structure and dimensions, the caller's
+    ``middle`` lines, ``pi``, ``Pi`` and one block per state, then ``tail``."""
+    lines = [magic, "version: 1", *head, f"structure: {structure_name(pair)}",
+             f"K: {params.K}", f"P: {params.P}", f"R: {params.R}", f"I: {I}",
+             f"T: {T}", *middle, f"pi: {_vector_line(params.pi)}", "Pi:",
+             *_matrix_lines(params.Pi)]
+    for k in range(params.K):
+        lines += [f"state: {k + 1}", "M:", *_matrix_lines(params.means[k]),
+                  "Sigma:", *_matrix_lines(params.sigmas[k]),
+                  "Psi:", *_matrix_lines(params.psis[k])]
+    return "\n".join([*lines, *tail]) + "\n"
+
+
+class _ModelReader:
+    """Reads the layout :func:`_model_text` writes, skipping blank lines.
+    Every ``ValueError`` it raises begins with the path, then the key."""
+
+    def __init__(self, path, magic: str, what: str):
+        self.path = path
+        # a byte that is not UTF-8 reads as U+FFFD, which no magic line or number matches
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            self.lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+        if not self.lines or self.lines[0] != magic:
+            raise ValueError(f"{path}: not a {what} file")
+        self.pos = 1
+        if self.expect("version") != "1":
+            raise self.error("version", f"is not 1: this {what} version is not supported")
+
+    def error(self, key: str, problem: str) -> ValueError:
+        return ValueError(f"{self.path}: {key} {problem}")
+
+    def line(self, key: str, missing: str = "is missing") -> str:
         if self.pos >= len(self.lines):
-            raise ValueError("unexpected end of report")
-        line = self.lines[self.pos]
+            raise self.error(key, f"{missing}: unexpected end of file")
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1]
 
     def expect(self, key: str) -> str:
-        line = self.next()
+        """The text after ``key:`` on the next line."""
+        line = self.line(key)
         head, _, rest = line.partition(":")
         if head.strip() != key:
-            raise ValueError(f"expected {key!r}, found {line.strip()!r}")
+            raise self.error(key, f"is missing: found {line!r} in its place")
         return rest.strip()
 
-    def matrix(self, rows: int) -> np.ndarray:
-        data = [[float(x) for x in self.next().split()] for _ in range(rows)]
-        return np.asarray(data)
+    def value(self, key: str, parse):
+        raw = self.expect(key)
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise self.error(key, f"cannot be read from {raw!r}: {exc}") from None
 
+    def row(self, key: str, raw: str, n: int, kind=float) -> list:
+        """The ``n`` whitespace-separated entries of ``raw``."""
+        try:
+            entries = [kind(x) for x in raw.split()]
+        except ValueError:
+            raise self.error(key, f"has an entry that is not a valid {kind.__name__}: "
+                                  f"{raw!r}") from None
+        if len(entries) != n:
+            raise self.error(key, f"has a row of {len(entries)} entries, expected {n}")
+        return entries
 
-def _write_state_blocks(lines: list[str], params: HmmParams) -> None:
-    for k in range(params.K):
-        lines.append(f"state: {k + 1}")
-        lines.append("M:")
-        lines.extend(_matrix_lines(params.means[k]))
-        lines.append("Sigma:")
-        lines.extend(_matrix_lines(params.sigmas[k]))
-        lines.append("Psi:")
-        lines.extend(_matrix_lines(params.psis[k]))
+    def matrix(self, key: str, rows: int, cols: int, kind=float) -> np.ndarray:
+        self.expect(key)
+        return np.array([self.row(key, self.line(key, "is missing rows"), cols, kind)
+                         for _ in range(rows)])
 
+    def dims(self) -> tuple:
+        """The structure pair and the K, P, R, I, T dimensions."""
+        pair = self.value("structure", parse_structure)
+        sizes = [self.value(key, int) for key in "KPRIT"]
+        for key, n in zip("KPRIT", sizes):
+            if n < 1:
+                raise self.error(key, f"is {n}, not >= 1")
+        return (pair, *sizes)
 
-def _read_state_blocks(reader: _LineReader, K: int, P: int, R: int
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    means = np.empty((K, P, R))
-    sigmas = np.empty((K, P, P))
-    psis = np.empty((K, R, R))
-    for k in range(K):
-        if reader.expect("state") != str(k + 1):
-            raise ValueError(f"state blocks out of order near state {k + 1}")
-        reader.expect("M")
-        means[k] = reader.matrix(P)
-        reader.expect("Sigma")
-        sigmas[k] = reader.matrix(P)
-        reader.expect("Psi")
-        psis[k] = reader.matrix(R)
-    return means, sigmas, psis
+    def params(self, K: int, P: int, R: int) -> HmmParams:
+        """``pi``, ``Pi`` and the K state blocks, every row's length checked."""
+        pi = self.row("pi", self.expect("pi"), K)
+        Pi = self.matrix("Pi", K, K)
+        blocks = []
+        for k in range(1, K + 1):
+            label = self.expect("state")
+            if label != str(k):
+                raise self.error("state", f"is {label!r}, expected {k}")
+            blocks.append((self.matrix("M", P, R), self.matrix("Sigma", P, P),
+                           self.matrix("Psi", R, R)))
+        means, sigmas, psis = (np.array(stack) for stack in zip(*blocks))
+        return HmmParams(np.array(pi), Pi, means, sigmas, psis)
 
 
 def fit_report_text(report: FitReport) -> str:
     """Serialize a fit report (without posterior arrays) to text."""
     P, R, I, T = report.panel_dims
-    lines = [
-        FIT_REPORT_MAGIC,
-        "version: 1",
-        f"structure: {structure_name(report.structure)}",
-        f"K: {report.K}",
-        f"P: {P}",
-        f"R: {R}",
-        f"I: {I}",
-        f"T: {T}",
+    middle = [
         f"converged: {str(report.converged).lower()}",
         f"iterations: {report.iterations}",
         f"wall_time_s: {report.wall_time!r}",
@@ -97,131 +138,81 @@ def fit_report_text(report: FitReport) -> str:
         f"n_params: {report.n_params}",
         f"bic: {report.bic!r}",
         f"warnings: {'; '.join(report.warnings)}",
-        f"pi: {_vector_line(report.params.pi)}",
-        "Pi:",
-        *_matrix_lines(report.params.Pi),
     ]
-    _write_state_blocks(lines, report.params)
-    lines.append(f"log_lik_trace: {_vector_line(report.log_lik_trace)}")
-    lines.append("decoded:")
-    for i in range(I):
-        lines.append("  " + " ".join(str(int(s)) for s in report.decoded[i]))
-    if report.unit_labels is not None:
-        lines.append("unit_labels: " + ",".join(report.unit_labels))
-    if report.time_labels is not None:
-        lines.append("time_labels: " + ",".join(report.time_labels))
-    return "\n".join(lines) + "\n"
+    tail = [f"log_lik_trace: {_vector_line(report.log_lik_trace)}", "decoded:",
+            *("  " + " ".join(str(int(s)) for s in row) for row in report.decoded)]
+    for key, labels in (("unit_labels", report.unit_labels),
+                        ("time_labels", report.time_labels)):
+        if labels is not None:
+            _check_labels(labels, ",", key)
+            tail.append(f"{key}: " + ",".join(labels))
+    return _model_text(FIT_REPORT_MAGIC, [], report.structure, report.params, I, T,
+                       middle, tail)
 
 
 def save_fit_report(report: FitReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(fit_report_text(report))
+    _write(path, fit_report_text(report))
 
 
 def load_fit_report(path) -> FitReport:
     """Parse a serialized fit report; posterior arrays are not stored."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    reader = _LineReader(text)
-    if reader.next().strip() != FIT_REPORT_MAGIC:
-        raise ValueError(f"{path}: not a fit report file")
-    if reader.expect("version") != "1":
-        raise ValueError(f"{path}: unsupported report version")
-    pair = parse_structure(reader.expect("structure"))
-    K = int(reader.expect("K"))
-    P = int(reader.expect("P"))
-    R = int(reader.expect("R"))
-    I = int(reader.expect("I"))
-    T = int(reader.expect("T"))
-    converged = reader.expect("converged") == "true"
-    iterations = int(reader.expect("iterations"))
-    wall_time = float(reader.expect("wall_time_s"))
-    log_lik = float(reader.expect("log_lik"))
-    n_params = int(reader.expect("n_params"))
-    bic_value = float(reader.expect("bic"))
-    warn_raw = reader.expect("warnings")
-    warnings = tuple(w.strip() for w in warn_raw.split(";") if w.strip())
-    pi = np.array([float(x) for x in reader.expect("pi").split()])
-    reader.expect("Pi")
-    Pi = reader.matrix(K)
-    means, sigmas, psis = _read_state_blocks(reader, K, P, R)
-    trace = np.array([float(x) for x in reader.expect("log_lik_trace").split()])
-    reader.expect("decoded")
-    try:
-        decoded = np.array([reader.next().split() for _ in range(I)], dtype=int)
-    except ValueError:  # ragged rows or a label that is not an integer
-        decoded = None
-    if decoded is None or decoded.shape != (I, T) or np.any((decoded < 1) | (decoded > K)):
-        raise ValueError(f"{path}: decoded must be {I} rows of {T} state labels in 1..{K}")
+    reader = _ModelReader(path, FIT_REPORT_MAGIC, "fit report")
+    pair, K, P, R, I, T = reader.dims()
+    converged = reader.expect("converged")
+    if converged not in ("true", "false"):
+        raise reader.error("converged", f"is not true or false: {converged!r}")
+    iterations = reader.value("iterations", int)
+    wall_time = reader.value("wall_time_s", float)
+    log_lik = reader.value("log_lik", float)
+    n_params = reader.value("n_params", int)
+    bic_value = reader.value("bic", float)
+    warnings = tuple(w.strip() for w in reader.expect("warnings").split(";") if w.strip())
+    params = reader.params(K, P, R)
+    trace = np.array(reader.row("log_lik_trace", reader.expect("log_lik_trace"),
+                                iterations + 1))
+    decoded = reader.matrix("decoded", I, T, int)
+    if np.any((decoded < 1) | (decoded > K)):
+        raise reader.error("decoded", f"has a state label outside 1..{K}")
     labels = {"unit_labels": None, "time_labels": None}
-    while reader.pos < len(reader.lines):
-        line = reader.next()
+    for line in reader.lines[reader.pos:]:
         key, _, rest = (part.strip() for part in line.partition(":"))
         if key not in labels:
-            raise ValueError(f"{path}: unexpected line {line.strip()!r}")
+            raise ValueError(f"{path}: unexpected line {line!r}")
         labels[key] = tuple(rest.split(","))
         expected = I if key == "unit_labels" else T
         if len(labels[key]) != expected:
-            raise ValueError(f"{path}: {key} has {len(labels[key])} entries, "
-                             f"expected {expected}")
-    params = HmmParams(pi, Pi, means, sigmas, psis)
+            raise reader.error(key, f"has {len(labels[key])} entries, expected {expected}")
     empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), log_lik)
     return FitReport(pair, params, empty, log_lik, trace, n_params, bic_value,
-                     decoded, iterations, converged, wall_time, (P, R, I, T),
-                     warnings, labels["unit_labels"], labels["time_labels"])
+                     decoded, iterations, converged == "true", wall_time,
+                     (P, R, I, T), warnings, labels["unit_labels"],
+                     labels["time_labels"])
 
 
 def scenario_text(scenario: Scenario) -> str:
-    truth = scenario.truth
-    lines = [
-        SCENARIO_MAGIC,
-        "version: 1",
-        f"label: {scenario.label}",
-        f"structure: {structure_name(scenario.structure)}",
-        f"K: {truth.K}",
-        f"P: {truth.P}",
-        f"R: {truth.R}",
-        f"I: {scenario.I}",
-        f"T: {scenario.T}",
-        f"replicates: {scenario.replicates}",
-        f"overlap_shift: {'' if scenario.overlap_shift is None else repr(float(scenario.overlap_shift))}",
-        f"pi: {_vector_line(truth.pi)}",
-        "Pi:",
-        *_matrix_lines(truth.Pi),
-    ]
-    _write_state_blocks(lines, truth)
-    return "\n".join(lines) + "\n"
+    shift = scenario.overlap_shift
+    head = [f"label: {scenario.label}"]
+    middle = [f"replicates: {scenario.replicates}",
+              f"overlap_shift: {'' if shift is None else repr(float(shift))}"]
+    return _model_text(SCENARIO_MAGIC, head, scenario.structure, scenario.truth,
+                       scenario.I, scenario.T, middle, [])
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario_text(scenario))
+    _write(path, scenario_text(scenario))
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    reader = _LineReader(text)
-    if reader.next().strip() != SCENARIO_MAGIC:
-        raise ValueError(f"{path}: not a scenario file")
-    if reader.expect("version") != "1":
-        raise ValueError(f"{path}: unsupported scenario version")
+    reader = _ModelReader(path, SCENARIO_MAGIC, "scenario")
     label = reader.expect("label")
-    pair = parse_structure(reader.expect("structure"))
-    K = int(reader.expect("K"))
-    P = int(reader.expect("P"))
-    R = int(reader.expect("R"))
-    I = int(reader.expect("I"))
-    T = int(reader.expect("T"))
-    replicates = int(reader.expect("replicates"))
-    shift_raw = reader.expect("overlap_shift")
-    shift = float(shift_raw) if shift_raw else None
-    pi = np.array([float(x) for x in reader.expect("pi").split()])
-    reader.expect("Pi")
-    Pi = reader.matrix(K)
-    means, sigmas, psis = _read_state_blocks(reader, K, P, R)
-    truth = HmmParams(pi, Pi, means, sigmas, psis)
-    return Scenario(label, pair, truth, I, T, replicates, shift)
+    pair, K, P, R, I, T = reader.dims()
+    replicates = reader.value("replicates", int)
+    shift = reader.value("overlap_shift", lambda raw: float(raw) if raw else None)
+    truth = reader.params(K, P, R)
+    try:
+        return Scenario(label, pair, truth, I, T, replicates, shift)
+    except ValueError as exc:  # replicates below 1, or pi or Pi not stochastic
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def selection_table_lines(report: SelectionReport, include_timing: bool = True
@@ -242,8 +233,7 @@ def selection_table_lines(report: SelectionReport, include_timing: bool = True
 
 
 def save_selection_table(report: SelectionReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(selection_table_lines(report)) + "\n")
+    _write(path, "\n".join(selection_table_lines(report)) + "\n")
 
 
 def recovery_table_lines(reports) -> list[str]:
@@ -256,8 +246,7 @@ def recovery_table_lines(reports) -> list[str]:
 
 
 def save_recovery_table(reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(recovery_table_lines(reports)) + "\n")
+    _write(path, "\n".join(recovery_table_lines(reports)) + "\n")
 
 
 def fit_timing_table_lines(report: RecoveryReport) -> list[str]:
@@ -275,8 +264,7 @@ def timing_table_lines(rows) -> list[str]:
 
 
 def save_timing_table(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(timing_table_lines(rows)) + "\n")
+    _write(path, "\n".join(timing_table_lines(rows)) + "\n")
 
 
 def decode_tables(report: FitReport) -> tuple[list[str], list[str]]:

@@ -108,8 +108,11 @@ def _fit_cell(args) -> CellResult:
     panel, pair, K, config = args
     start = time.perf_counter()
     try:
+        if K > panel.I * panel.T:  # the message random_init would raise
+            raise FitError(f"cannot draw {K} distinct mean matrices from "
+                           f"{panel.I * panel.T} observations")
         report = ecm.fit(panel, pair, K, config)
-    except (FitError, ValueError) as exc:  # a failed fit never takes the grid down
+    except FitError as exc:  # a failed fit never takes the grid down; a bug does
         return CellResult(pair, K, "failed", np.nan, n_free_params(pair, K, panel.P, panel.R),
                           np.nan, time.perf_counter() - start, message=str(exc))
     return CellResult(pair, K, "ok", report.log_lik, report.n_params, report.bic,

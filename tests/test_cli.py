@@ -172,6 +172,18 @@ def test_decode_malformed_report_writes_no_table(tmp_path, capsys):
     assert not (tmp_path / "states.csv").exists()
 
 
+def test_decode_short_mean_row_names_the_file(tmp_path, capsys):
+    params = random_hmm_params(2, 2, 2, np.random.default_rng(0))
+    lines = reports.fit_report_text(fabricate_report(params, (2, 2, 3, 4))).splitlines()
+    at = lines.index("M:") + 1
+    lines[at] = lines[at].rsplit(" ", 1)[0]
+    bad = tmp_path / "fit.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["decode", "--report", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert f"error: {bad}: M has a row of 1 entries, expected 2" in capsys.readouterr().err
+    assert not (tmp_path / "states.csv").exists()
+
+
 def test_fit_refit_recovers_transition_matrix(tmp_path):
     # VEV-EE truth: shared shape, per-state volumes and orientations
     def rot(theta):

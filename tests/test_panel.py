@@ -77,6 +77,17 @@ def test_save_rejects_a_label_that_would_not_load_back(tmp_path, delimiter, labe
     assert not path.exists()
 
 
+@pytest.mark.parametrize("labels, problem", [(["u1", " u2"], "has leading or trailing blanks"),
+                                             (["u1", "u2 "], "has leading or trailing blanks"),
+                                             (["u1", "u1"], "appears more than once")])
+def test_save_rejects_labels_that_would_load_back_changed(tmp_path, labels, problem):
+    panel = MatrixPanel(np.zeros((1, 1, 2, 1)), unit_labels=labels)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"unit_labels: label .* {problem}"):
+        save_panel(panel, path)
+    assert not path.exists()
+
+
 def test_load_bad_header(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_file(path, full_rows(), header="a,b,c,d,e")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ def test_fit_report_roundtrip(tmp_path):
     for field in ("pi", "Pi", "means", "sigmas", "psis"):
         assert np.array_equal(getattr(back.params, field),
                               getattr(report.params, field)), field
+    assert reports.fit_report_text(back) == path.read_text(encoding="utf-8")
 
 
 def test_fit_report_rejects_garbage(tmp_path):
@@ -49,7 +52,7 @@ def test_fit_report_rejects_garbage(tmp_path):
 
 
 def corrupt_report_text(case):
-    """A fit report (K=2, I=20, T=5) with one malformed block."""
+    """A fit report (K=2, P=R=2, I=20, T=5) with one malformed block."""
     lines = reports.fit_report_text(fitted_report()).splitlines()
     first_row = lines.index("decoded:") + 1
     if case == "short-rows":  # every row one label short: a (20, 4) block
@@ -58,8 +61,20 @@ def corrupt_report_text(case):
     elif case == "unit-labels":
         at = next(n for n, ln in enumerate(lines) if ln.startswith("unit_labels:"))
         lines[at] = "unit_labels: u1,u2"
-    else:  # a state label beyond K
+    elif case == "label-beyond-K":
         lines[first_row] = "  9" + lines[first_row][3:]
+    elif case == "extra-pi":
+        at = next(n for n, ln in enumerate(lines) if ln.startswith("pi:"))
+        lines[at] += " 0.5"
+    elif case.startswith("short-"):  # the first row of the named block, one entry short
+        at = lines.index(case[len("short-"):] + ":") + 1
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+    elif case == "word-K":
+        lines[lines.index("K: 2")] = "K: two"
+    elif case == "word-entry":
+        lines[lines.index("Sigma:") + 1] = "  1.0 one"
+    else:  # the file cut after the first row of Pi
+        del lines[lines.index("Pi:") + 2:]
     return "\n".join(lines) + "\n"
 
 
@@ -71,6 +86,28 @@ def test_fit_report_rejects_a_malformed_decoded_block(tmp_path, case, key):
     path.write_text(corrupt_report_text(case), encoding="utf-8")
     with pytest.raises(ValueError, match=f"fit.txt: {key} "):
         reports.load_fit_report(path)
+
+
+@pytest.mark.parametrize("case, key", [("extra-pi", "pi"), ("short-M", "M"),
+                                       ("short-Sigma", "Sigma"), ("short-Psi", "Psi"),
+                                       ("short-Pi", "Pi"), ("word-K", "K"),
+                                       ("word-entry", "Sigma"), ("cut-in-Pi", "Pi")])
+def test_fit_report_names_the_file_and_key_of_a_malformed_model_block(tmp_path, case,
+                                                                      key):
+    path = tmp_path / "fit.txt"
+    path.write_text(corrupt_report_text(case), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"fit.txt: {key} "):
+        reports.load_fit_report(path)
+
+
+@pytest.mark.parametrize("label, problem", [("Reggio, Calabria", "contains the delimiter ','"),
+                                            (" u2", "has leading or trailing blanks"),
+                                            ("u1", "appears more than once")])
+def test_fit_report_rejects_labels_that_would_not_load_back(label, problem):
+    report = fitted_report()
+    units = ("u1", label) + report.unit_labels[2:]
+    with pytest.raises(ValueError, match=f"unit_labels: label '{label}' {problem}"):
+        reports.fit_report_text(replace(report, unit_labels=units))
 
 
 def test_scenario_roundtrip(tmp_path):
@@ -85,6 +122,22 @@ def test_scenario_roundtrip(tmp_path):
     for field in ("pi", "Pi", "means", "sigmas", "psis"):
         assert np.array_equal(getattr(back.truth, field),
                               getattr(scen.truth, field))
+    assert reports.scenario_text(back) == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case, key", [("short-M", "M"), ("no-replicates", "replicates")])
+def test_scenario_file_errors_name_the_file_and_key(tmp_path, case, key):
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2", replicates=3)
+    lines = reports.scenario_text(scen).splitlines()
+    if case == "short-M":
+        at = lines.index("M:") + 1
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+    else:  # a Scenario validation error raised while loading
+        lines[lines.index("replicates: 3")] = "replicates: 0"
+    path = tmp_path / "scenario.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"scenario.txt: {key} "):
+        reports.load_scenario(path)
 
 
 def test_selection_table_layout():

@@ -87,14 +87,28 @@ def test_failed_cell_is_recorded_not_fatal():
 def test_programming_errors_propagate_out_of_the_grid(monkeypatch):
     rng = np.random.default_rng(5)
     panel = separated_panel(rng, I=4, T=2)
-
-    def broken(*args, **kwargs):
-        raise TypeError("bug in the fit")
-
-    monkeypatch.setattr(ecm, "fit", broken)
     grid = mh.ModelGrid(structures=(("EII", "II"),), Ks=(1,))
-    with pytest.raises(TypeError, match="bug in the fit"):
-        mh.run_grid(panel, grid, workers=1)
+    for error in (TypeError, ValueError):  # only a FitError marks a cell failed
+
+        def broken(*args, **kwargs):
+            raise error("bug in the fit")
+
+        monkeypatch.setattr(ecm, "fit", broken)
+        with pytest.raises(error, match="bug in the fit"):
+            mh.run_grid(panel, grid, workers=1)
+
+
+def test_a_cell_with_more_states_than_observations_fails_before_fitting(monkeypatch):
+    panel = separated_panel(np.random.default_rng(7), I=2, T=2)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(ecm, "fit", must_not_run)
+    grid = mh.ModelGrid(structures=(("EII", "II"),), Ks=(5,))
+    with pytest.raises(mh.GridError, match="EII-II K=5: cannot draw 5 distinct mean "
+                                           "matrices from 4 observations"):
+        mh.run_grid(panel, grid)
 
 
 def test_unconverged_cells_are_reported_as_warnings():
