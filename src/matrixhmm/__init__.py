@@ -8,13 +8,13 @@ algorithm with scaled forward-backward recursions and selected by BIC.
 """
 
 from .ecm import (DEFAULT_SEED, FitConfig, FitReport, HmmParams, Posteriors,
-                  decode, e_step, expected_complete_loglik, fit, random_init)
+                  bic, decode, e_step, expected_complete_loglik, fit,
+                  n_free_params, random_init)
 from .errors import (DecompositionError, FitError, FitFailureError, GridError,
                      NumericalError, StateCollapseError)
 from .matnorm import MatNormParams, log_density, log_density_stack, sample
 from .panel import MatrixPanel, load_panel, logit_transform, save_panel
-from .selection import (ModelGrid, SelectionReport, bic, n_free_params,
-                        run_grid)
+from .selection import ModelGrid, SelectionReport, run_grid
 from .simulate import (RecoveryReport, Scenario, align_states,
                        builtin_scenarios, generate, get_scenario,
                        recovery_mse, run_scenario, timing_run)

@@ -45,6 +45,7 @@ def _load_data(args):
     panel = load_panel(args.data, delimiter=args.delimiter)
     if getattr(args, "logit", False):
         panel = logit_transform(panel)
+    reports._report_labels(panel)  # fit and select write these labels to a report
     return panel
 
 

@@ -20,17 +20,37 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import selection
 from .errors import (DecompositionError, FitFailureError, NumericalError,
                      StateCollapseError)
 from .matnorm import MatNormParams, _chol_inv_logdet, _log_density_states
 from .panel import MatrixPanel
-from .structures import (Scatter, SpectralParts, derive_parts,
-                         parse_structure, structure_name, update_psi,
-                         update_sigma)
+from .structures import (Scatter, SpectralParts, count_psi_params,
+                         count_sigma_params, derive_parts, parse_structure,
+                         structure_name, update_psi, update_sigma)
 
 DEFAULT_SEED = 12345
 _COLLAPSE_FRACTION = 1e-6
+
+
+def n_free_params(structure, K: int, P: int, R: int) -> int:
+    """Total free parameters: chain plus means plus both covariance families.
+
+    (K - 1) initial probabilities, K(K - 1) transition probabilities,
+    K*P*R mean entries, and the structure-specific covariance counts.
+    """
+    sigma, psi = parse_structure(structure)
+    if min(K, P, R) < 1:
+        raise ValueError("K, P and R must all be >= 1")
+    chain = (K - 1) + K * (K - 1)
+    return (chain + K * P * R + count_sigma_params(sigma, K, P)
+            + count_psi_params(psi, K, R))
+
+
+def bic(log_lik: float, n_params: int, n_obs: int) -> float:
+    """Bayesian information criterion, -2 log L + m log(n); minimized."""
+    if n_obs < 1:
+        raise ValueError("n_obs must be >= 1")
+    return float(-2.0 * log_lik + n_params * np.log(n_obs))
 
 
 @dataclass(frozen=True)
@@ -127,12 +147,8 @@ class FitReport:
     structure: tuple[str, str]
     params: HmmParams
     posteriors: Posteriors
-    log_lik: float
     log_lik_trace: np.ndarray
-    n_params: int
-    bic: float
     decoded: np.ndarray          # (I, T) int, 1-based state labels
-    iterations: int
     converged: bool
     wall_time: float
     panel_dims: tuple[int, int, int, int]
@@ -143,6 +159,22 @@ class FitReport:
     @property
     def K(self) -> int:
         return self.params.K
+
+    @property
+    def log_lik(self) -> float:
+        return float(self.log_lik_trace[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_lik_trace) - 1
+
+    @property
+    def n_params(self) -> int:
+        return n_free_params(self.structure, self.K, *self.panel_dims[:2])
+
+    @property
+    def bic(self) -> float:
+        return bic(self.log_lik, self.n_params, self.panel_dims[2] * self.panel_dims[3])
 
 
 class CmStep1Result(NamedTuple):
@@ -549,9 +581,7 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     post = _permute_posteriors(post, order)
     decoded = decode(post)
 
-    n_params = selection.n_free_params(pair, K, P, R)
-    n_obs = I * T
-    bic_value = selection.bic(post.log_lik, n_params, n_obs)
+    n_params = n_free_params(pair, K, P, R)
     warnings = []
     if K * n_params > I * T * P * R:
         warnings.append(
@@ -562,12 +592,8 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
         structure=pair,
         params=params,
         posteriors=post,
-        log_lik=post.log_lik,
         log_lik_trace=np.asarray(state.trace),
-        n_params=n_params,
-        bic=bic_value,
         decoded=decoded,
-        iterations=len(state.trace) - 1,
         converged=state.converged,
         wall_time=wall,
         panel_dims=(P, R, I, T),

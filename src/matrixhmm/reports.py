@@ -124,7 +124,22 @@ class _ModelReader:
             blocks.append((self.matrix("M", P, R), self.matrix("Sigma", P, P),
                            self.matrix("Psi", R, R)))
         means, sigmas, psis = (np.array(stack) for stack in zip(*blocks))
-        return HmmParams(np.array(pi), Pi, means, sigmas, psis)
+        params = HmmParams(np.array(pi), Pi, means, sigmas, psis)
+        try:
+            params.validate(atol=1e-9, det_tol=np.inf)
+        except ValueError as exc:  # pi or Pi is not stochastic
+            raise ValueError(f"{self.path}: {exc}") from None
+        return params
+
+
+def _report_labels(source) -> list:
+    """The ``(key, labels)`` pairs a fit report writes for ``source``, a panel
+    or a report, each checked to load back from its comma-separated line."""
+    pairs = [(key, getattr(source, key)) for key in ("unit_labels", "time_labels")
+             if getattr(source, key) is not None]
+    for key, labels in pairs:
+        _check_labels(labels, ",", key)
+    return pairs
 
 
 def fit_report_text(report: FitReport) -> str:
@@ -141,11 +156,7 @@ def fit_report_text(report: FitReport) -> str:
     ]
     tail = [f"log_lik_trace: {_vector_line(report.log_lik_trace)}", "decoded:",
             *("  " + " ".join(str(int(s)) for s in row) for row in report.decoded)]
-    for key, labels in (("unit_labels", report.unit_labels),
-                        ("time_labels", report.time_labels)):
-        if labels is not None:
-            _check_labels(labels, ",", key)
-            tail.append(f"{key}: " + ",".join(labels))
+    tail += [f"{key}: " + ",".join(labels) for key, labels in _report_labels(report)]
     return _model_text(FIT_REPORT_MAGIC, [], report.structure, report.params, I, T,
                        middle, tail)
 
@@ -169,7 +180,7 @@ def load_fit_report(path) -> FitReport:
     warnings = tuple(w.strip() for w in reader.expect("warnings").split(";") if w.strip())
     params = reader.params(K, P, R)
     trace = np.array(reader.row("log_lik_trace", reader.expect("log_lik_trace"),
-                                iterations + 1))
+                                max(iterations, 0) + 1))
     decoded = reader.matrix("decoded", I, T, int)
     if np.any((decoded < 1) | (decoded > K)):
         raise reader.error("decoded", f"has a state label outside 1..{K}")
@@ -182,11 +193,16 @@ def load_fit_report(path) -> FitReport:
         expected = I if key == "unit_labels" else T
         if len(labels[key]) != expected:
             raise reader.error(key, f"has {len(labels[key])} entries, expected {expected}")
-    empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), log_lik)
-    return FitReport(pair, params, empty, log_lik, trace, n_params, bic_value,
-                     decoded, iterations, converged == "true", wall_time,
-                     (P, R, I, T), warnings, labels["unit_labels"],
-                     labels["time_labels"])
+    empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), float(trace[-1]))
+    report = FitReport(pair, params, empty, trace, decoded, converged == "true",
+                       wall_time, (P, R, I, T), warnings, labels["unit_labels"],
+                       labels["time_labels"])
+    for key, stated in (("iterations", iterations), ("log_lik", log_lik),
+                        ("n_params", n_params), ("bic", bic_value)):
+        if stated != getattr(report, key):
+            raise reader.error(key, f"is {stated!r}, but the report's other entries "
+                                    f"give {getattr(report, key)!r}")
+    return report
 
 
 def scenario_text(scenario: Scenario) -> str:
@@ -211,7 +227,7 @@ def load_scenario(path) -> Scenario:
     truth = reader.params(K, P, R)
     try:
         return Scenario(label, pair, truth, I, T, replicates, shift)
-    except ValueError as exc:  # replicates below 1, or pi or Pi not stochastic
+    except ValueError as exc:  # replicates below 1, or a label the tables cannot hold
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -1,4 +1,4 @@
-"""Model selection: free-parameter counts, BIC and grid search.
+"""Model selection: a grid search over structures and state counts by BIC.
 
 A grid fits every requested (structure pair, K) combination and ranks the
 successful cells by BIC (smaller is better).  Cells are independent tasks
@@ -15,32 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ecm
+from .ecm import bic, n_free_params
 from .errors import FitError, GridError
 from .panel import MatrixPanel
 from .structures import (PSI_STRUCTURES, SIGMA_STRUCTURES, all_structure_pairs,
-                         count_psi_params, count_sigma_params, parse_structure,
-                         structure_name)
-
-
-def n_free_params(structure, K: int, P: int, R: int) -> int:
-    """Total free parameters: chain plus means plus both covariance families.
-
-    (K - 1) initial probabilities, K(K - 1) transition probabilities,
-    K*P*R mean entries, and the structure-specific covariance counts.
-    """
-    sigma, psi = parse_structure(structure)
-    if min(K, P, R) < 1:
-        raise ValueError("K, P and R must all be >= 1")
-    chain = (K - 1) + K * (K - 1)
-    return (chain + K * P * R + count_sigma_params(sigma, K, P)
-            + count_psi_params(psi, K, R))
-
-
-def bic(log_lik: float, n_params: int, n_obs: int) -> float:
-    """Bayesian information criterion, -2 log L + m log(n); minimized."""
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
-    return float(-2.0 * log_lik + n_params * np.log(n_obs))
+                         parse_structure, structure_name)
 
 
 @dataclass(frozen=True)
@@ -86,7 +65,6 @@ class SelectionReport:
 
     cells: tuple
     best: tuple | None               # ((sigma, psi), K) of the BIC argmin
-    n_obs: int
     failures: tuple = ()
     warnings: tuple = ()
 
@@ -158,8 +136,7 @@ def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> Selection
     if not ok:
         raise GridError("every grid cell failed:\n" + "\n".join(failures))
 
-    n_obs = panel.I * panel.T
-    best_cell = bic_winner(cells, n_obs)
+    best_cell = bic_winner(cells, panel.I * panel.T)
     warnings = []
     alt = bic_winner(cells, panel.I)
     if (alt.structure, alt.K) != (best_cell.structure, best_cell.K):
@@ -171,4 +148,4 @@ def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> Selection
         f"max_iter={grid.config.max_iter} iterations"
         for c in ok if not c.report.converged)
     return SelectionReport(tuple(cells), (best_cell.structure, best_cell.K),
-                           n_obs, failures, tuple(warnings))
+                           failures, tuple(warnings))

@@ -18,7 +18,7 @@ import numpy as np
 from . import selection
 from .ecm import DEFAULT_SEED, FitConfig, FitReport, HmmParams, fit
 from .matnorm import _cholesky
-from .panel import MatrixPanel
+from .panel import MatrixPanel, _check_labels
 
 PARAMETER_BLOCKS = ("M", "Sigma", "Psi", "pi", "Pi")
 
@@ -38,6 +38,7 @@ class Scenario:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        _check_labels((self.label,), ",", "label")  # a field of the comma-separated tables
         self.truth.validate(atol=1e-9, det_tol=np.inf)
 
     @property
@@ -53,7 +54,10 @@ class RecoveryReport:
     mse: dict
     alignments: tuple
     seconds: tuple
-    replicates: int
+
+    @property
+    def replicates(self) -> int:
+        return len(self.seconds)
 
 
 @dataclass(frozen=True)
@@ -220,14 +224,16 @@ def recovery_mse(fits, scenario: Scenario) -> RecoveryReport:
         sums["Psi"] += float(np.mean((est.psis[perm] - truth.psis) ** 2))
         sums["pi"] += float(np.mean((est.pi[perm] - truth.pi) ** 2))
         sums["Pi"] += float(np.mean((est.Pi[np.ix_(perm, perm)] - truth.Pi) ** 2))
-    n = len(fits)
-    mse = {name: value / n for name, value in sums.items()}
-    return RecoveryReport(scenario.label, mse, tuple(alignments), tuple(seconds), n)
+    mse = {name: value / len(fits) for name, value in sums.items()}
+    return RecoveryReport(scenario.label, mse, tuple(alignments), tuple(seconds))
 
 
 def run_scenario(scenario: Scenario, config: FitConfig | None = None,
                  seed: int = DEFAULT_SEED, workers: int = 1) -> RecoveryReport:
-    """Generate, fit and score every replicate of one scenario."""
+    """Generate, fit and score every replicate of one scenario.
+
+    Each replicate's fit seed comes from ``seed``, so ``config.seed`` is not read.
+    """
     config = config or FitConfig()
     tasks = [(scenario, rep, seed, config) for rep in range(scenario.replicates)]
     return recovery_mse(selection._map(_fit_replicate, tasks, workers), scenario)

@@ -109,10 +109,8 @@ def fabricate_report(params, dims, wall_time=0.1):
     K = params.K
     empty = mh.Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), 0.0)
     return mh.FitReport(structure=("VVV", "VV"), params=params, posteriors=empty,
-                        log_lik=0.0, log_lik_trace=np.zeros(1), n_params=0,
-                        bic=0.0, decoded=np.ones((I, T), dtype=int),
-                        iterations=0, converged=True, wall_time=wall_time,
-                        panel_dims=dims)
+                        log_lik_trace=np.zeros(1), decoded=np.ones((I, T), dtype=int),
+                        converged=True, wall_time=wall_time, panel_dims=dims)
 
 
 def check_posteriors(post, z_tol=1e-10, marg_tol=1e-8):

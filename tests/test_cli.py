@@ -33,6 +33,43 @@ def test_fit_smoke_writes_report(two_state_csv, tmp_path, capsys):
     assert "state 1 mean:" in console
 
 
+@pytest.fixture()
+def comma_label_panel(tmp_path):
+    values = np.random.default_rng(0).normal(size=(2, 2, 3, 4))
+    panel = mh.MatrixPanel(values, unit_labels=("Reggio, Calabria", "Milano", "Roma"))
+    path = tmp_path / "panel.csv"
+    mh.save_panel(panel, path, delimiter=";")
+    return path
+
+
+def never_fit(*args, **kwargs):
+    raise AssertionError("a fit ran")
+
+
+def test_fit_rejects_an_unwritable_label_before_fitting(comma_label_panel, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr("matrixhmm.cli.fit", never_fit)
+    out = tmp_path / "out"
+    code = main(["fit", "--data", str(comma_label_panel), "--delimiter", ";",
+                 "--structure", "VVV-VV", "--K", "2", "--out-dir", str(out)])
+    assert code == 2
+    assert ("unit_labels: label 'Reggio, Calabria' contains the delimiter ','"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_select_rejects_an_unwritable_label_before_fitting(comma_label_panel, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.setattr("matrixhmm.ecm.fit", never_fit)
+    out = tmp_path / "out"
+    code = main(["select", "--data", str(comma_label_panel), "--delimiter", ";",
+                 "--Ks", "1,2", "--structures", "EII-II", "--out-dir", str(out)])
+    assert code == 2
+    assert ("unit_labels: label 'Reggio, Calabria' contains the delimiter ','"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_fit_unknown_structure_usage_error(two_state_csv, tmp_path, capsys):
     code = main(["fit", "--data", str(two_state_csv), "--structure", "XYZ",
                  "--K", "1", "--out-dir", str(tmp_path)])

@@ -1,0 +1,52 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "matrixhmm"
+
+
+def relative_imports(path):
+    """The package modules that ``path`` names in a relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:  # from .ecm import fit
+                names.add(node.module.split(".")[0])
+            else:  # from . import ecm
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_package_import_graph_has_no_cycle():
+    graph = {path.stem: relative_imports(path) for path in PACKAGE.glob("*.py")}
+    assert {"ecm", "selection", "reports"} <= set(graph)
+    done, open_path = set(), []
+
+    def visit(module):
+        if module in open_path:
+            cycle = open_path[open_path.index(module):] + [module]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        open_path.append(module)
+        for name in sorted(graph.get(module, ())):
+            visit(name)
+        open_path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(script, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr

@@ -69,6 +69,18 @@ def corrupt_report_text(case):
     elif case.startswith("short-"):  # the first row of the named block, one entry short
         at = lines.index(case[len("short-"):] + ":") + 1
         lines[at] = lines[at].rsplit(" ", 1)[0]
+    elif case == "not-stochastic-pi":
+        at = next(n for n, ln in enumerate(lines) if ln.startswith("pi:"))
+        lines[at] = "pi: 5.0 -4.0"
+    elif case == "iterations":  # a negative count with a one-entry trace
+        at = next(n for n, ln in enumerate(lines) if ln.startswith("iterations:"))
+        lines[at] = "iterations: -1"
+        at = next(n for n, ln in enumerate(lines) if ln.startswith("log_lik_trace:"))
+        lines[at] = "log_lik_trace: " + lines[at].split()[-1]
+    elif case in ("log_lik", "n_params", "bic"):  # a stated value edited
+        at = next(n for n, ln in enumerate(lines) if ln.startswith(f"{case}:"))
+        lines[at] = {"log_lik": "log_lik: 3.0", "n_params": "n_params: 99",
+                     "bic": "bic: 1.0"}[case]
     elif case == "word-K":
         lines[lines.index("K: 2")] = "K: two"
     elif case == "word-entry":
@@ -91,12 +103,21 @@ def test_fit_report_rejects_a_malformed_decoded_block(tmp_path, case, key):
 @pytest.mark.parametrize("case, key", [("extra-pi", "pi"), ("short-M", "M"),
                                        ("short-Sigma", "Sigma"), ("short-Psi", "Psi"),
                                        ("short-Pi", "Pi"), ("word-K", "K"),
-                                       ("word-entry", "Sigma"), ("cut-in-Pi", "Pi")])
+                                       ("word-entry", "Sigma"), ("cut-in-Pi", "Pi"),
+                                       ("not-stochastic-pi", "pi")])
 def test_fit_report_names_the_file_and_key_of_a_malformed_model_block(tmp_path, case,
                                                                       key):
     path = tmp_path / "fit.txt"
     path.write_text(corrupt_report_text(case), encoding="utf-8")
     with pytest.raises(ValueError, match=f"fit.txt: {key} "):
+        reports.load_fit_report(path)
+
+
+@pytest.mark.parametrize("key", ["iterations", "log_lik", "n_params", "bic"])
+def test_fit_report_rejects_a_value_its_other_entries_contradict(tmp_path, key):
+    path = tmp_path / "fit.txt"
+    path.write_text(corrupt_report_text(key), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"fit.txt: {key} .*other entries give"):
         reports.load_fit_report(path)
 
 
@@ -140,13 +161,24 @@ def test_scenario_file_errors_name_the_file_and_key(tmp_path, case, key):
         reports.load_scenario(path)
 
 
+def test_load_scenario_rejects_a_label_with_a_comma(tmp_path):
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2", replicates=3)
+    lines = reports.scenario_text(scen).splitlines()
+    lines[lines.index(f"label: {scen.label}")] = "label: study A, panel 1"
+    path = tmp_path / "scenario.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="scenario.txt: label: label 'study A, panel 1' "
+                                         "contains the delimiter ','"):
+        reports.load_scenario(path)
+
+
 def test_selection_table_layout():
     report = mh.SelectionReport(
         cells=(mh.selection.CellResult(("EII", "II"), 1, "ok", -10.0, 5,
                                        30.0, 0.25),
                mh.selection.CellResult(("VVV", "VV"), 2, "failed", np.nan, 31,
                                        np.nan, 0.1, message="boom")),
-        best=(("EII", "II"), 1), n_obs=100)
+        best=(("EII", "II"), 1))
     lines = reports.selection_table_lines(report)
     assert lines[0] == "structure,K,log_lik,n_params,bic,status,seconds"
     assert lines[1].startswith("EII-II,1,-10.0,5,30.0,ok,")
@@ -183,7 +215,7 @@ def test_decode_tables_switch_counts_match_recount():
 def test_recovery_and_timing_tables():
     rec = mh.RecoveryReport("s1", {"M": 0.01, "Sigma": 0.002, "Psi": 0.003,
                                    "pi": 0.001, "Pi": 0.0005},
-                            alignments=((0, 1),), seconds=(0.5,), replicates=1)
+                            alignments=((0, 1),), seconds=(0.5,))
     lines = reports.recovery_table_lines([rec])
     assert lines[0] == "scenario,parameter,mse,replicates"
     assert "s1,M,0.01,1" in lines

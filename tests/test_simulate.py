@@ -150,6 +150,19 @@ def test_recovery_mse_zero_for_exact_fits():
         assert value == 0.0, name
 
 
+def test_recovery_report_counts_its_replicates_from_their_timings():
+    rec = mh.RecoveryReport("s1", {"M": 0.0}, alignments=((0, 1),) * 3,
+                            seconds=(0.5, 0.25, 0.75))
+    assert rec.replicates == len(rec.seconds) == 3
+
+
+def test_scenario_rejects_a_label_with_a_comma():
+    truth = mh.get_scenario("EII-II/K2/T5/overlap2").truth
+    with pytest.raises(ValueError, match="label: label 'study A, panel 1' contains "
+                                         "the delimiter ','"):
+        mh.Scenario("study A, panel 1", ("EII", "II"), truth, I=10, T=3, replicates=1)
+
+
 def test_recovery_mse_is_permutation_invariant():
     rng = np.random.default_rng(3)
     scen = mh.get_scenario("VVE-VE/K2/T5/overlap1")
