@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DecompositionError, FitFailureError, NumericalError,
                      StateCollapseError)
-from .matnorm import MatNormParams, _chol_inv_logdet, _log_density_states
+from .matnorm import MatNormParams, _chol_inv_logdet, _is_identity, _log_density_states
 from .panel import MatrixPanel
 from .structures import (Scatter, SpectralParts, count_psi_params,
                          count_sigma_params, derive_parts, parse_structure,
@@ -325,9 +325,15 @@ def _scatter(moments: np.ndarray, covs: np.ndarray, what: str) -> np.ndarray:
     covariances as C it is the column scatter W_k of the second.  The
     callers form the moments: :func:`cm_step1` forms them and
     :func:`cm_step2` reuses those, or forms them when called on its own.
+    A stack of exact identities, such as a random start's column
+    covariances, is contracted as it is and never factored: its inverse
+    through the Cholesky factor is exactly the same identity, so the
+    scatter is bit for bit the one the general path gives.
     """
-    L_inv, _ = _chol_inv_logdet(covs, what)
-    inv = np.swapaxes(L_inv, 1, 2) @ L_inv
+    inv = covs
+    if not _is_identity(covs):
+        L_inv, _ = _chol_inv_logdet(covs, what)
+        inv = np.swapaxes(L_inv, 1, 2) @ L_inv
     raw = np.einsum("kprqs,krs->kpq", moments, inv)
     return np.stack([_jittered(mat) for mat in raw])
 
@@ -412,7 +418,10 @@ def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
 
 def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator) -> HmmParams:
     """Random starting point: uniform pi, flat-Dirichlet transition rows,
-    means drawn from K distinct observed matrices, identity covariances."""
+    means drawn from K distinct observed matrices, identity covariances.
+
+    The covariances are exact identities, so a start's first E-step and
+    its first row scatter factor nothing (see :mod:`matrixhmm.matnorm`)."""
     parse_structure(structure)
     P, R, I, T = panel.dims
     if K < 1:

@@ -13,6 +13,13 @@ materialized.  With lower Cholesky factors LS LS' = Sigma and
 LP LP' = Psi the trace is the squared Frobenius norm of the whitened
 residual LS^-1 (X - M) LP^-T, which the stacked kernel forms with two
 batched matrix products over every observation and state.
+
+A covariance stack that is exactly the identity is never factored or
+multiplied: its Cholesky factor and inverse are exactly I, its
+log-determinant is exactly 0, and a product with an exact identity only
+adds exact zeros, so skipping that work leaves every result bit for bit
+unchanged.  Every random start of a fit begins from identity covariances,
+and a column structure ``II`` keeps Psi = I throughout.
 """
 
 from __future__ import annotations
@@ -83,25 +90,42 @@ def _chol_inv_logdet(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarra
     return np.linalg.inv(L), logdets
 
 
+def _is_identity(mats: np.ndarray) -> bool:
+    """Whether every matrix of a (K, Q, Q) stack is exactly the identity."""
+    return np.array_equal(mats, np.broadcast_to(np.eye(mats.shape[-1]), mats.shape))
+
+
 def _log_density_states(Xs: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
                         psis: np.ndarray) -> np.ndarray:
     """Log-densities of a stack of matrices under each of K parameter sets.
 
     ``Xs`` is (..., P, R) and ``means``, ``sigmas``, ``psis`` are (K, P, R),
-    (K, P, P), (K, R, R) stacks; the result has shape (..., K).
+    (K, P, P), (K, R, R) stacks; the result has shape (..., K).  A
+    covariance stack that is exactly the identity in every state is neither
+    factored nor multiplied by: its log-determinant is exactly 0 and its
+    product would return the residuals unchanged, bit for bit.  A stack
+    with any other state takes the general path.
     """
     K, P, R = means.shape
     lead = Xs.shape[:-2]
-    LS_inv, logdet_S = _chol_inv_logdet(sigmas, "row covariance Sigma")
-    LP_inv, logdet_P = _chol_inv_logdet(psis, "column covariance Psi")
+    LS_inv = LP_inv = None
+    logdet_S = logdet_P = np.zeros(K)
+    if not _is_identity(sigmas):
+        LS_inv, logdet_S = _chol_inv_logdet(sigmas, "row covariance Sigma")
+    if not _is_identity(psis):
+        LP_inv, logdet_P = _chol_inv_logdet(psis, "column covariance Psi")
     Xc = Xs.reshape(-1, P, R)[None] - means[:, None]    # (K, N, P, R)
     N = Xc.shape[1]
     # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2; the right factor
     # acts on all N P rows of a state at once, the left one per matrix and
     # into the residual buffer: a third (K, N, P, R) array per call made
     # wide fits about a quarter slower and raised their peak memory
-    right = (Xc.reshape(K, N * P, R) @ np.swapaxes(LP_inv, 1, 2)).reshape(K, N, P, R)
-    white = np.matmul(LS_inv[:, None], right, out=Xc)
+    white = Xc
+    if LP_inv is not None:
+        white = (Xc.reshape(K, N * P, R) @ np.swapaxes(LP_inv, 1, 2)).reshape(K, N, P, R)
+    if LS_inv is not None:
+        # without a right product the left one reads the residual buffer
+        white = np.matmul(LS_inv[:, None], white, out=None if white is Xc else Xc)
     quad = np.einsum("knpr,knpr->kn", white, white)
     log_dens = -0.5 * ((P * R * LOG_2PI + R * logdet_S + P * logdet_P)[:, None] + quad)
     return log_dens.T.reshape(lead + (K,))

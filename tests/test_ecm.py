@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import matrixhmm as mh
-from matrixhmm import ecm
+from matrixhmm import ecm, matnorm
 from matrixhmm.ecm import _e_step_arrays, cm_step1, cm_step2
 from matrixhmm.structures import SpectralParts, derive_parts
 from oracles import brute_force_posteriors, check_posteriors, random_hmm_params
@@ -559,6 +559,43 @@ def test_fit_forms_moments_once_per_iteration(monkeypatch):
     report = mh.fit(panel, "VVV-VV", 2, config)
     assert report.iterations >= 2
     assert len(calls) == config.short_runs * config.short_iters + report.iterations
+
+
+@pytest.mark.parametrize("structure, per_start", [("VVV-VV", 3), ("VVV-II", 2)])
+def test_fit_factors_no_identity_covariance(monkeypatch, structure, per_start):
+    panel = small_panel(np.random.default_rng(29), I=10, T=4, P=3, R=2)
+    calls = []
+    original = matnorm._chol_inv_logdet
+
+    def counting(mats, what):
+        calls.append(what)
+        return original(mats, what)
+
+    monkeypatch.setattr(matnorm, "_chol_inv_logdet", counting)
+    monkeypatch.setattr(ecm, "_chol_inv_logdet", counting)
+    config = mh.FitConfig(short_runs=3, max_iter=0, seed=8)
+    report = mh.fit(panel, structure, 2, config)
+    assert report.iterations == 0
+    # a start's first forward pass and first row scatter meet identities;
+    # its column scatter and closing forward pass factor the fresh Sigma,
+    # and the fresh Psi unless the column structure keeps it the identity
+    assert len(calls) == config.short_runs * per_start
+
+
+@pytest.mark.parametrize("unit_dim", ["P", "R", "T", "I", "K"])
+def test_every_structure_fits_or_raises_a_typed_error_at_unit_size(unit_dim):
+    dims = {"P": 2, "R": 3, "I": 10, "T": 8, "K": 2, unit_dim: 1}
+    rng = np.random.default_rng(31)
+    panel = mh.MatrixPanel(rng.normal(size=tuple(dims[d] for d in "PRIT")))
+    config = mh.FitConfig(short_runs=5, max_iter=50)
+    for pair in mh.all_structure_pairs():
+        try:
+            report = mh.fit(panel, pair, dims["K"], config)
+        except (mh.FitError, ValueError):
+            continue
+        p = report.params
+        for arr in (p.pi, p.Pi, p.means, p.sigmas, p.psis, report.log_lik_trace):
+            assert np.all(np.isfinite(arr)), mh.structure_name(pair)
 
 
 def test_fit_config_rejects_a_negative_max_iter():

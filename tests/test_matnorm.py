@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from matrixhmm import DecompositionError, MatNormParams, log_density, sample
+from matrixhmm import DecompositionError, MatNormParams, log_density, matnorm, sample
 from matrixhmm.matnorm import _log_density_states, log_density_stack
 
 
@@ -52,13 +52,75 @@ def test_matches_vectorized_mvn():
                                          for name in ("M", "Sigma", "Psi")))
         assert ours.shape == (4, 3, 3)
         for k, st in enumerate(states):
-            mvn = multivariate_normal(mean=st.M.flatten(order="F"),
-                                      cov=np.kron(st.Psi, st.Sigma))
-            vecs = np.swapaxes(Xs, 2, 3).reshape(12, P * R)  # column-major vec
-            ref = mvn.logpdf(vecs).reshape(4, 3)
+            ref = kron_logpdf(Xs, st.M, st.Sigma, st.Psi)
             worst = max(worst, np.max(np.abs(ours[..., k] - ref)),
                         np.max(np.abs(log_density_stack(Xs, st.M, st.Sigma, st.Psi) - ref)))
     assert worst < 1e-12
+
+
+def kron_logpdf(Xs, M, Sigma, Psi):
+    """scipy's density of vec(X) under kron(Psi, Sigma), per matrix of Xs."""
+    P, R = M.shape
+    vecs = np.swapaxes(Xs, -1, -2).reshape(-1, P * R)  # column-major vec
+    mvn = multivariate_normal(mean=M.flatten(order="F"), cov=np.kron(Psi, Sigma))
+    return mvn.logpdf(vecs).reshape(Xs.shape[:-2])
+
+
+def state_stacks(rng, K, P, R):
+    """(K, P, R) means and (K, P, P), (K, R, R) covariances of K random states."""
+    states = [random_instance(rng, P=P, R=R) for _ in range(K)]
+    return tuple(np.stack([getattr(st, name) for st in states])
+                 for name in ("M", "Sigma", "Psi"))
+
+
+def counted_chol(monkeypatch):
+    calls = []
+    original = matnorm._chol_inv_logdet
+
+    def counting(mats, what):
+        calls.append(what)
+        return original(mats, what)
+
+    monkeypatch.setattr(matnorm, "_chol_inv_logdet", counting)
+    return calls
+
+
+@pytest.mark.parametrize("identity", ["Sigma", "Psi", "both"])
+def test_kernel_at_identity_covariances(monkeypatch, identity):
+    rng = np.random.default_rng(15)
+    K, P, R = 3, 3, 2
+    means, sigmas, psis = state_stacks(rng, K, P, R)
+    if identity in ("Sigma", "both"):
+        sigmas = np.tile(np.eye(P), (K, 1, 1))
+    if identity in ("Psi", "both"):
+        psis = np.tile(np.eye(R), (K, 1, 1))
+    Xs = rng.normal(scale=2.0, size=(4, 5, P, R))
+    calls = counted_chol(monkeypatch)
+    ours = _log_density_states(Xs, means, sigmas, psis)
+    # an identity stack is never factored
+    assert len(calls) == {"Sigma": 1, "Psi": 1, "both": 0}[identity]
+    for k in range(K):
+        if identity == "both":
+            ref = np.array([[-0.5 * (P * R * np.log(2.0 * np.pi)
+                                     + np.sum((X - means[k]) ** 2)) for X in row]
+                            for row in Xs])
+        else:
+            ref = kron_logpdf(Xs, means[k], sigmas[k], psis[k])
+        assert np.max(np.abs(ours[..., k] - ref)) < 1e-12
+
+
+def test_kernel_with_one_identity_state_takes_the_general_path(monkeypatch):
+    rng = np.random.default_rng(16)
+    K, P, R = 3, 2, 3
+    means, sigmas, psis = state_stacks(rng, K, P, R)
+    sigmas[1], psis[1] = np.eye(P), np.eye(R)
+    Xs = rng.normal(scale=2.0, size=(6, P, R))
+    calls = counted_chol(monkeypatch)
+    ours = _log_density_states(Xs, means, sigmas, psis)
+    assert len(calls) == 2
+    for k in range(K):
+        ref = kron_logpdf(Xs, means[k], sigmas[k], psis[k])
+        assert np.max(np.abs(ours[:, k] - ref)) < 1e-12
 
 
 def test_rescaling_invariance():

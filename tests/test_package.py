@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -50,3 +51,26 @@ def test_demo_runs(script, tmp_path):
     out = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+def test_bench_records_are_well_formed():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in declared["workloads"]}
+    end_to_end = {m["name"] for m in declared["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    keys = {"label", "change", "parent_commit", "command", "protocol", "host",
+            "claim", "runs", "summary"}
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert keys <= set(record), f"{path.name} lacks {sorted(keys - set(record))}"
+        assert record["runs"], path.name
+        for n, run in enumerate(record["runs"]):
+            where = f"{path.name} run {n}"
+            assert run["side"] in ("parent", "change"), where
+            assert run["workload"] in workloads, where
+            assert run["exit_code"] == 0, where
+            assert run["result"]["correct"] is True, where
+            if run["trace"] == 0:
+                missing = end_to_end - set(run["result"]["metrics"])
+                assert not missing, f"{where} lacks {sorted(missing)}"
