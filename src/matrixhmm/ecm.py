@@ -188,13 +188,6 @@ def _log_phi(X: np.ndarray, params: HmmParams) -> np.ndarray:
     return _log_density_states(X, params.means, params.sigmas, params.psis)
 
 
-def _as_stack(panel_or_stack) -> np.ndarray:
-    """The (I, T, P, R) observation array of a panel, or of an array given as one."""
-    if isinstance(panel_or_stack, MatrixPanel):
-        return panel_or_stack.unit_time_stack()
-    return np.asarray(panel_or_stack, dtype=float)
-
-
 class _Forward(NamedTuple):
     """A forward pass: the scaled state densities ``phi`` and forward
     variables ``alpha``, both time-major (T, I, K) so that every time slice
@@ -351,7 +344,7 @@ def _state_weights(z: np.ndarray) -> np.ndarray:
     return weights
 
 
-def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
+def cm_step1(panel: MatrixPanel, post: Posteriors, prev: HmmParams,
              sigma_structure: str, warm: SpectralParts | None = None) -> CmStep1Result:
     """Update initial/transition probabilities, means and row covariances.
 
@@ -362,7 +355,7 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
     Returns the new model (with the column covariances of ``prev``), the
     row split for the next call, and the moments for :func:`cm_step2`.
     """
-    X = _as_stack(panel_or_stack)
+    X = panel.unit_time_stack()
     I, T, P, R = X.shape
     z, zz = post.z, post.zz
 
@@ -391,7 +384,7 @@ def cm_step1(panel_or_stack, post: Posteriors, prev: HmmParams,
                          moments)
 
 
-def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
+def cm_step2(panel: MatrixPanel, post: Posteriors, current: HmmParams,
              psi_structure: str, warm: SpectralParts | None = None, *,
              moments: np.ndarray | None = None
              ) -> tuple[HmmParams, SpectralParts]:
@@ -403,7 +396,7 @@ def cm_step2(panel_or_stack, post: Posteriors, current: HmmParams,
     them), else formed here; ``warm`` likewise, from ``current.psis``.
     Returns ``current`` with the new ``psis``, and the column split.
     """
-    X = _as_stack(panel_or_stack)
+    X = panel.unit_time_stack()
     I, T, P, R = X.shape
     weights = _state_weights(post.z)
     if moments is None:
@@ -431,9 +424,7 @@ def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator)
     pi = np.full(K, 1.0 / K)
     Pi = rng.dirichlet(np.ones(K), size=K)
     picks = rng.choice(I * T, size=K, replace=False)
-    # observation i * T + t of the unit-time stack, without copying the panel
-    means = np.ascontiguousarray(
-        np.moveaxis(panel.values[:, :, picks // T, picks % T], -1, 0))
+    means = panel.unit_time_stack().reshape(I * T, P, R)[picks]
     sigmas = np.tile(np.eye(P), (K, 1, 1))
     psis = np.tile(np.eye(R), (K, 1, 1))
     return HmmParams(pi, Pi, means, sigmas, psis)
@@ -448,7 +439,7 @@ class _EcmState(NamedTuple):
     converged: bool
 
 
-def _run_ecm(X: np.ndarray, params: HmmParams, fwd: _Forward,
+def _run_ecm(panel: MatrixPanel, params: HmmParams, fwd: _Forward,
              pair: tuple[str, str], config: FitConfig, max_iter: int,
              sigma_parts: SpectralParts, psi_parts: SpectralParts) -> _EcmState:
     """ECM iterations from ``params``, its forward pass ``fwd`` and its
@@ -460,13 +451,14 @@ def _run_ecm(X: np.ndarray, params: HmmParams, fwd: _Forward,
     the caller to rank or to run :func:`_backward` on.
     """
     sigma_structure, psi_structure = pair
+    X = panel.unit_time_stack()
     post = _backward(fwd, params.Pi) if max_iter else None
     trace = [fwd.log_lik]
     converged = False
     for it in range(1, max_iter + 1):
         try:
-            step1 = cm_step1(X, post, params, sigma_structure, warm=sigma_parts)
-            params, psi_parts = cm_step2(X, post, step1.params, psi_structure,
+            step1 = cm_step1(panel, post, params, sigma_structure, warm=sigma_parts)
+            params, psi_parts = cm_step2(panel, post, step1.params, psi_structure,
                                          warm=psi_parts, moments=step1.moments)
             sigma_parts = step1.parts
             del step1  # frees the (K, PR, PR) moments before the E-step runs
@@ -476,6 +468,8 @@ def _run_ecm(X: np.ndarray, params: HmmParams, fwd: _Forward,
                 post = _backward(fwd, params.Pi)
         except (NumericalError, DecompositionError) as exc:
             raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
+        except StateCollapseError as exc:
+            raise StateCollapseError(f"iteration {it}: {exc}", iteration=it) from exc
         trace.append(fwd.log_lik)
         if config.iter_hook is not None:
             config.iter_hook(it, params, fwd.log_lik)
@@ -510,14 +504,13 @@ def decode(post: Posteriors) -> np.ndarray:
     return np.argmax(post.z, axis=2) + 1
 
 
-def expected_complete_loglik(panel_or_stack, post: Posteriors,
+def expected_complete_loglik(panel: MatrixPanel, post: Posteriors,
                              params: HmmParams) -> float:
     """Expected complete-data log-likelihood at the given posteriors.
 
     Sum of the initial-state, transition and observation terms with the
     indicator variables replaced by their smoothed expectations.
     """
-    X = _as_stack(panel_or_stack)
     z, zz = post.z, post.zz
     with np.errstate(divide="ignore"):
         log_pi = np.log(params.pi)
@@ -528,7 +521,7 @@ def expected_complete_loglik(panel_or_stack, post: Posteriors,
     mask = zz_t > 0
     term2 = float(np.sum(zz_t[mask]
                          * np.broadcast_to(log_Pi, zz_t.shape)[mask]))
-    log_phi = _log_phi(X, params)
+    log_phi = _log_phi(panel.unit_time_stack(), params)
     term3 = float(np.sum(post.z * log_phi))
     return term1 + term2 + term3
 
@@ -564,7 +557,7 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
         rng = np.random.default_rng(child)
         try:
             params0 = random_init(panel, K, pair, rng)
-            state = _run_ecm(X, params0, _forward(X, params0), pair, config,
+            state = _run_ecm(panel, params0, _forward(X, params0), pair, config,
                              config.short_iters, SpectralParts.identity(K, P),
                              SpectralParts.identity(K, R))
         except (NumericalError, StateCollapseError) as exc:
@@ -577,7 +570,7 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
             f"all {config.short_runs} initializations failed for "
             f"{structure_name(pair)} with K={K}", diagnostics)
 
-    state = _run_ecm(X, best.params, best.fwd, pair, config, config.max_iter,
+    state = _run_ecm(panel, best.params, best.fwd, pair, config, config.max_iter,
                      best.sigma_parts, best.psi_parts)
     try:
         post = _backward(state.fwd, state.params.Pi)

@@ -6,7 +6,12 @@ class DecompositionError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Base class for failures raised while fitting."""
+    """Base class for failures raised while fitting; ``iteration`` names the
+    ECM iteration that failed, when one did."""
+
+    def __init__(self, message, iteration=None):
+        super().__init__(message)
+        self.iteration = iteration
 
 
 class StateCollapseError(FitError):
@@ -15,10 +20,6 @@ class StateCollapseError(FitError):
 
 class NumericalError(FitError):
     """Non-finite quantities appeared during estimation."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
 
 
 class FitFailureError(FitError):

@@ -1,9 +1,9 @@
 """Four-way data panels: container, long-format file I/O, logit transform.
 
-A panel holds one P x R matrix per (unit, time) pair, stored as a 4-way
-array indexed (p, r, i, t).  On disk a panel is a delimited long-format
-table with header ``unit,time,row_level,col_level,value`` and one cell per
-row; the cross-product of the four key columns must be complete.
+A panel holds one P x R matrix per (unit, time) pair, indexed (p, r, i, t)
+and stored as the (I, T, P, R) stack the fit reads.  On disk a panel is a
+delimited long-format table with header ``unit,time,row_level,col_level,value``
+and one cell per row; the cross-product of the four key columns must be complete.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ class MatrixPanel:
     ----------
     values : ndarray, shape (P, R, I, T)
         Entry (p, r, i, t) is cell (p, r) of the matrix observed on unit
-        i at time t.
+        i at time t.  The panel keeps the observations as one read-only,
+        C-contiguous (I, T, P, R) array, which it shares rather than copies
+        when ``values`` is already a view of one; ``values`` becomes the
+        (P, R, I, T) view of that array.
     unit_labels, time_labels : sequence of str, optional
         Labels preserved verbatim from the source file.
     """
@@ -42,7 +45,9 @@ class MatrixPanel:
             raise ValueError(f"all four panel dimensions must be >= 1, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("panel values must all be finite")
-        object.__setattr__(self, "values", values)
+        stack = np.ascontiguousarray(np.transpose(values, (2, 3, 0, 1)))
+        stack.flags.writeable = False
+        object.__setattr__(self, "values", np.transpose(stack, (2, 3, 0, 1)))
         for name, labels, n in (
             ("unit_labels", self.unit_labels, values.shape[2]),
             ("time_labels", self.time_labels, values.shape[3]),
@@ -82,8 +87,12 @@ class MatrixPanel:
         return self.values[:, :, i - 1, t - 1].copy()
 
     def unit_time_stack(self) -> np.ndarray:
-        """Return the observations as an (I, T, P, R) array."""
-        return np.ascontiguousarray(np.transpose(self.values, (2, 3, 0, 1)))
+        """Return the observations as a read-only (I, T, P, R) array, no copy."""
+        return np.transpose(self.values, (2, 3, 0, 1))
+
+    def __reduce__(self):
+        # the constructor puts an unpickled (P, R, I, T) array back in stack order
+        return MatrixPanel, (self.values, self.unit_labels, self.time_labels)
 
 
 def _ordered_labels(raw) -> list[str]:
@@ -173,14 +182,14 @@ def load_panel(path, delimiter: str = ",") -> MatrixPanel:
                     f"row_level={row}, col_level={col})"
                 )
 
-    values = np.empty((len(rows), len(cols), len(units), len(times)))
+    stack = np.empty((len(units), len(times), len(rows), len(cols)))
     row_idx = {lab: n for n, lab in enumerate(rows)}
     col_idx = {lab: n for n, lab in enumerate(cols)}
     unit_idx = {lab: n for n, lab in enumerate(units)}
     time_idx = {lab: n for n, lab in enumerate(times)}
     for (unit, time, row, col), value in cells.items():
-        values[row_idx[row], col_idx[col], unit_idx[unit], time_idx[time]] = value
-    return MatrixPanel(values, tuple(units), tuple(times))
+        stack[unit_idx[unit], time_idx[time], row_idx[row], col_idx[col]] = value
+    return MatrixPanel(np.transpose(stack, (2, 3, 0, 1)), tuple(units), tuple(times))
 
 
 def save_panel(panel: MatrixPanel, path, delimiter: str = ",") -> None:

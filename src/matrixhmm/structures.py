@@ -208,11 +208,12 @@ def _update_shape(structure: str, A: np.ndarray,
     """Unit-determinant C_k of a column structure minimizing sum_k tr(A_k C_k^-1).
 
     Returns the (K, Q, Q) stack and the parts for the next call: VE's
-    new orientation and shapes with unit volumes, ``prev`` otherwise.
+    new orientation and shapes with unit volumes, ``prev`` otherwise.  At
+    Q = 1 the only unit-determinant shape is 1, whatever the tag.
     """
     K, Q, _ = A.shape
     eye = np.eye(Q)
-    if structure == "II":
+    if structure == "II" or Q == 1:
         return np.tile(eye, (K, 1, 1)), prev
 
     if structure in ("EI", "VI"):

@@ -1,4 +1,8 @@
+import argparse
+import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,18 @@ def test_programming_errors_propagate_out_of_main(two_state_csv, tmp_path,
     monkeypatch.setattr("matrixhmm.cli.fit", failing)
     assert main(argv) == 1
     assert "every start failed" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse_and_cover_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    shell = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
+    lines = [line.strip() for line in shell.replace("\\\n", " ").splitlines()
+             if line.strip().startswith("matrixhmm ")]
+    parser = build_parser()
+    used = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        used.add(args.command)
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert used == set(commands)

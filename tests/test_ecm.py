@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -290,16 +291,17 @@ def test_scatters_match_a_per_observation_loop():
     w = z.sum(axis=(0, 1))
     means = np.stack([sum(z[i, t, k] * X[i, t] for i in range(I) for t in range(T)) / w[k]
                       for k in range(K)])
+    panel = mh.MatrixPanel(np.transpose(X, (2, 3, 0, 1)))
 
-    step = cm_step1(X, post, prev, "VVV")
+    step = cm_step1(panel, post, prev, "VVV")
     current = step.params
     Y = loop_scatter(X, z, means, prev.psis, columns=False)
     sigmas = Y / (R * w[:, None, None])
     assert np.max(np.abs(current.means - means)) < 1e-9 * 1e4
     assert np.max(np.abs(current.sigmas - sigmas)) < 1e-9 * np.max(np.abs(sigmas))
 
-    psis = cm_step2(X, post, current, "VV")[0].psis
-    reused = cm_step2(X, post, current, "VV", moments=step.moments)[0].psis
+    psis = cm_step2(panel, post, current, "VV")[0].psis
+    reused = cm_step2(panel, post, current, "VV", moments=step.moments)[0].psis
     assert np.array_equal(reused, psis)
     W = loop_scatter(X, z, current.means, current.sigmas, columns=True)
     expected = W / np.linalg.det(W)[:, None, None] ** (1.0 / R)
@@ -314,13 +316,14 @@ def test_a_state_on_identical_observations_fits_or_raises_a_typed_error():
     labels = np.zeros((I, T), dtype=int)
     labels[:2, :3] = 1
     X[labels == 1] = rng.normal(size=(P, R))
+    panel = mh.MatrixPanel(np.transpose(X, (2, 3, 0, 1)))
     post = hard_posteriors(I, T, 2, labels)
     prev = random_hmm_params(2, P, R, rng)
     for row, col in zip(mh.SIGMA_STRUCTURES, 2 * mh.PSI_STRUCTURES):
         try:
-            current = cm_step1(X, post, prev, row).params
+            current = cm_step1(panel, post, prev, row).params
             assert np.all(np.isfinite(current.sigmas)), row
-            psis = cm_step2(X, post, current, col)[0].psis
+            psis = cm_step2(panel, post, current, col)[0].psis
             assert np.all(np.isfinite(psis)), (row, col)
         except (mh.FitError, ValueError) as exc:
             assert type(exc) is not np.linalg.LinAlgError, (row, col, exc)
@@ -531,8 +534,8 @@ def test_a_failing_report_backward_pass_names_the_last_iteration(monkeypatch):
     def broken(fwd, Pi):
         raise mh.NumericalError("non-finite smoothed memberships in E-step")
 
-    def break_backward_after_the_long_run(X, params, fwd, pair, cfg, max_iter, *parts):
-        state = run_ecm(X, params, fwd, pair, cfg, max_iter, *parts)
+    def break_backward_after_the_long_run(pan, params, fwd, pair, cfg, max_iter, *parts):
+        state = run_ecm(pan, params, fwd, pair, cfg, max_iter, *parts)
         if max_iter == cfg.max_iter:
             monkeypatch.setattr(ecm, "_backward", broken)
         return state
@@ -596,6 +599,41 @@ def test_every_structure_fits_or_raises_a_typed_error_at_unit_size(unit_dim):
         p = report.params
         for arr in (p.pi, p.Pi, p.means, p.sigmas, p.psis, report.log_lik_trace):
             assert np.all(np.isfinite(arr)), mh.structure_name(pair)
+        if unit_dim == "R":  # the only unit-determinant 1 x 1 shape
+            assert np.all(p.psis == 1.0), mh.structure_name(pair)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_structure_fits_or_raises_a_typed_error_on_edge_panels():
+    rng = np.random.default_rng(32)
+    small = mh.MatrixPanel(rng.normal(size=(2, 3, 4, 2)))
+    constant = rng.normal(size=(2, 3, 10, 8))
+    constant[1, 2] = 0.5
+    rates = rng.uniform(0.2, 0.8, size=(2, 3, 10, 8))
+    rates[0, 0, :4, 0] = np.geomspace(1e-12, 1e-9, 4)
+    rates[1, 1, :4, 1] = 1.0 - np.geomspace(1e-12, 1e-9, 4)
+    cases = [(mh.MatrixPanel(constant), 2),
+             (small, small.I * small.T - 1), (small, small.I * small.T),
+             (mh.logit_transform(mh.MatrixPanel(rates)), 2)]
+    config = mh.FitConfig(short_runs=3, max_iter=20)
+    for panel, K in cases:
+        for pair in mh.all_structure_pairs():
+            try:
+                report = mh.fit(panel, pair, K, config)
+            except (mh.FitError, ValueError):
+                continue
+            p = report.params
+            for arr in (p.pi, p.Pi, p.means, p.sigmas, p.psis, report.log_lik_trace):
+                assert np.all(np.isfinite(arr)), (mh.structure_name(pair), K)
+
+
+def test_a_state_collapse_in_the_long_run_names_its_iteration():
+    panel = small_panel(np.random.default_rng(0), I=4, T=2, P=2, R=3)
+    with pytest.raises(mh.StateCollapseError) as excinfo:
+        mh.fit(panel, "EII-EE", 7, mh.FitConfig(short_runs=3, max_iter=20))
+    match = re.fullmatch(r"iteration (\d+): state collapse: .+", str(excinfo.value))
+    assert match is not None, str(excinfo.value)
+    assert excinfo.value.iteration == int(match.group(1))
 
 
 def test_fit_config_rejects_a_negative_max_iter():

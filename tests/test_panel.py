@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -174,9 +176,21 @@ def test_panel_validation():
         MatrixPanel(np.zeros((1, 1, 2, 1)), unit_labels=("a",))
 
 
-def test_unit_time_stack_layout():
+def test_unit_time_stack_layout(tmp_path):
     rng = np.random.default_rng(3)
     values = rng.normal(size=(2, 3, 4, 5))
-    stack = MatrixPanel(values).unit_time_stack()
-    assert stack.shape == (4, 5, 2, 3)
-    assert np.array_equal(stack[1, 2], values[:, :, 1, 2])
+    built = MatrixPanel(values)
+    save_panel(built, tmp_path / "panel.csv")
+    # built in place, read from a file, and sent through pickle to a worker
+    for panel in (built, load_panel(tmp_path / "panel.csv"),
+                  pickle.loads(pickle.dumps(built))):
+        assert panel.values.shape == (2, 3, 4, 5)
+        assert np.array_equal(panel.values, values)
+        stack = panel.unit_time_stack()
+        assert stack.shape == (4, 5, 2, 3)
+        assert np.array_equal(stack[1, 2], values[:, :, 1, 2])
+        assert stack.flags.c_contiguous
+        assert np.shares_memory(stack, panel.values)
+        for arr in (stack, panel.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0, 0] = 0.0

@@ -178,6 +178,20 @@ def test_every_update_returns_parts_with_one_orientation(structure):
         _, parts = update(structure, sc, parts, dims)
 
 
+@pytest.mark.parametrize("structure", SIGMA_STRUCTURES + PSI_STRUCTURES)
+def test_every_update_at_dimension_one_has_shape_one(structure):
+    # the only unit-determinant 1 x 1 shape is exactly 1, whatever the tag
+    row = structure in SIGMA_STRUCTURES
+    dims = (1, 3, 40, 5) if row else (3, 1, 40, 5)
+    sc = scaled_scatter(3, 1, np.random.default_rng(13), dims)
+    if row:
+        sigmas, parts = update_sigma(structure, sc, None, dims)
+        assert np.array_equal(sigmas[:, 0, 0], parts.lam)
+    else:
+        psis, _ = update_psi(structure, sc, None, dims)
+        assert np.array_equal(psis, np.ones((3, 1, 1)))
+
+
 def test_every_psi_update_has_unit_determinant():
     rng = np.random.default_rng(5)
     for structure in PSI_STRUCTURES:
