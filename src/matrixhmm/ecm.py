@@ -10,18 +10,26 @@ that candidate until the relative log-likelihood change falls below
 tolerance.  The backward pass runs only where a CM step or the report reads
 the posteriors, and the winner's long run continues from its short run's
 last forward pass.
+
+Both halves of the E-step work on a block of runs with the same K at once:
+one density call on the block's stacked states, then one time-major
+recursion over (T, H, I, K) arrays that applies each run's own transition
+matrix by batched products.  Each run gets per-run views of the block's
+arrays and the same arithmetic as alone, so its numbers do not depend on
+the block it ran in.  The short starts run in blocks whose residual stack
+stays under ``_BLOCK_ELEMENTS``; the long run is a block of one.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (DecompositionError, FitFailureError, NumericalError,
-                     StateCollapseError)
+from .errors import (DecompositionError, FitError, FitFailureError,
+                     NumericalError, StateCollapseError)
 from .matnorm import MatNormParams, _chol_inv_logdet, _is_identity, _log_density_states
 from .panel import MatrixPanel
 from .structures import (Scatter, SpectralParts, count_psi_params,
@@ -30,6 +38,12 @@ from .structures import (Scatter, SpectralParts, count_psi_params,
 
 DEFAULT_SEED = 12345
 _COLLAPSE_FRACTION = 1e-6
+# Short starts per block: as many as keep the block's (H K, I T, P, R)
+# residual stack within this many elements (512 kB), and at least one.  At
+# 2 x 2 matrices, I = 100 and T = 10 that is 8 starts, which fitted as fast
+# as blocks of 16 or 32, with half or a quarter of the block's memory.
+_BLOCK_ELEMENTS = 1 << 16
+_STEP_ERRORS = (NumericalError, DecompositionError, StateCollapseError)
 
 
 def n_free_params(structure, K: int, P: int, R: int) -> int:
@@ -122,7 +136,14 @@ class Posteriors:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of one fit: convergence, initialization and a per-iteration hook."""
+    """Knobs of one fit: convergence, initialization and a per-iteration hook.
+
+    ``iter_hook(it, params, log_lik)`` is called once per start and
+    iteration, then once per iteration of the long run.  The short starts
+    run in blocks in lockstep, so with ``short_iters > 1`` the hook sees a
+    block's starts iteration by iteration: every live start's iteration 1,
+    then every live start's iteration 2, and so on.
+    """
 
     max_iter: int = 500
     tol: float = 1e-8
@@ -189,9 +210,11 @@ def _log_phi(X: np.ndarray, params: HmmParams) -> np.ndarray:
 
 
 class _Forward(NamedTuple):
-    """A forward pass: the scaled state densities ``phi`` and forward
-    variables ``alpha``, both time-major (T, I, K) so that every time slice
-    is contiguous, the (T, I, 1) per-step scales and the log-likelihood."""
+    """A forward pass of one run: the scaled state densities ``phi`` and
+    forward variables ``alpha``, both time-major (T, I, K), the (T, I, 1)
+    per-step scales and the log-likelihood.  The arrays are the run's views
+    of its block's (T, H, I, ...) arrays, in which every time slice is
+    contiguous."""
 
     phi: np.ndarray
     alpha: np.ndarray
@@ -199,11 +222,21 @@ class _Forward(NamedTuple):
     log_lik: float
 
 
-def _forward(X: np.ndarray, params: HmmParams) -> _Forward:
-    """Rabiner's scaled forward recursion, the first half of the E-step."""
+def _forward(X: np.ndarray, block: list[HmmParams]) -> list[_Forward]:
+    """Rabiner's scaled forward recursion, the first half of the E-step, for
+    a block of H parameter sets with the same K: one forward pass each.
+
+    One density call covers the block's H K states and one recursion its
+    (T, H, I, K) arrays, each run through its own pi and Pi.  A run's
+    log-likelihood is summed over contiguous copies of its own scales and
+    offsets, in the order a block of one sums them.  A failure raises for
+    the whole block, with the message of the first failing run.
+    """
     I, T, _, _ = X.shape
-    K = params.K
-    log_phi = _log_phi(X, params)
+    H, K = len(block), block[0].K
+    log_phi = _log_density_states(
+        X, *(np.concatenate([getattr(params, name) for params in block])
+             for name in ("means", "sigmas", "psis")))
     if not np.all(np.isfinite(log_phi)):
         raise NumericalError("non-finite state log-density in E-step")
     # Rabiner's scaled recursions on densities divided by their per-observation
@@ -211,61 +244,83 @@ def _forward(X: np.ndarray, params: HmmParams) -> _Forward:
     # c_t >= min Pi and the scaled beta <= 1 / min Pi, so nothing underflows or
     # overflows.  Exact zeros (the M-step makes them when a transition's
     # posterior mass underflows) can leave a unit no reachable state: c_t = 0.
-    offsets = log_phi.max(axis=2)
-    phi = np.empty((T, I, K))
-    np.subtract(log_phi.transpose(1, 0, 2), offsets.T[:, :, None], out=phi)
+    log_phi = log_phi.reshape(I, T, H, K)
+    offsets = log_phi.max(axis=3)
+    phi = np.empty((T, H, I, K))
+    np.subtract(log_phi.transpose(1, 2, 0, 3), offsets.transpose(1, 2, 0)[..., None],
+                out=phi)
     np.exp(phi, out=phi)
-    Pi = params.Pi
-    alpha = np.empty((T, I, K))
-    scale = np.empty((T, I, 1))
-    # the check below and the callers' checks catch every failure
+    pi = np.stack([params.pi for params in block])[:, None]
+    Pi = np.stack([params.Pi for params in block])
+    alpha = np.empty((T, H, I, K))
+    scale = np.empty((T, H, I, 1))
+    # the checks below and the callers' checks catch every failure
     with np.errstate(all="ignore"):
         prev = None
         for a, p, c in zip(alpha, phi, scale):
             if prev is None:
-                np.multiply(params.pi, p, out=a)
+                np.multiply(pi, p, out=a)
             else:
                 np.matmul(prev, Pi, out=a)
                 a *= p
-            np.add.reduce(a, axis=1, keepdims=True, out=c)
+            np.add.reduce(a, axis=2, keepdims=True, out=c)
             a /= c
             prev = a
-        log_lik = float(np.log(scale).sum() + offsets.sum())
+        log_scale = np.log(scale)
+        log_liks = [float(np.ascontiguousarray(log_scale[:, h]).sum()
+                          + np.ascontiguousarray(offsets[:, :, h]).sum())
+                    for h in range(H)]
     if np.any(scale == 0.0):
-        # the first unit and time in unit-major order
-        i, t = np.argwhere(scale[:, :, 0].T == 0.0)[0]
+        # the first unit and time in unit-major order, of the first such run
+        h, i, t = np.argwhere(scale[:, :, :, 0].transpose(1, 2, 0) == 0.0)[0]
         raise NumericalError(
             f"unit {i + 1} has no reachable state at time {t + 1} in E-step")
-    if not np.isfinite(log_lik):
+    if not np.all(np.isfinite(log_liks)):
         raise NumericalError("non-finite log-likelihood in E-step")
-    return _Forward(phi, alpha, scale, log_lik)
+    return [_Forward(phi[:, h], alpha[:, h], scale[:, h], log_lik)
+            for h, log_lik in enumerate(log_liks)]
 
 
-def _backward(fwd: _Forward, Pi: np.ndarray) -> Posteriors:
-    """Rabiner's scaled backward recursion, the second half of the E-step:
-    the posteriors of a forward pass made with transition matrix ``Pi``."""
-    phi, alpha, scale, log_lik = fwd
-    T, I, K = alpha.shape
-    beta = np.empty((T, I, K))
-    z = np.empty((I, T, K))
+def _backward(fwds: list[_Forward], Pis: list[np.ndarray]) -> list[Posteriors]:
+    """Rabiner's scaled backward recursion, the second half of the E-step,
+    for a block of forward passes made with the transition matrices ``Pis``:
+    the posteriors of each.
+
+    The recursion runs once on the block's (T, H, I, K) arrays.  Each run's
+    ``z`` (I, T, K) and ``zz`` (I, T, K, K) are C-contiguous views of the
+    block's (H, I, T, ...) arrays, so the CM steps sum them as they sum a
+    block of one's.
+    """
+    phi, alpha, scale = (np.stack([fwd[n] for fwd in fwds], axis=1) for n in range(3))
+    T, H, I, K = alpha.shape
+    Pi = np.stack(Pis)
+    beta = np.empty((T, H, I, K))
+    z = np.empty((H, I, T, K))
     with np.errstate(all="ignore"):  # the check below catches every failure
         beta[T - 1] = 1.0
         for t in range(T - 2, -1, -1):
-            np.matmul(phi[t + 1] * beta[t + 1], Pi.T, out=beta[t])
+            np.matmul(phi[t + 1] * beta[t + 1], Pi.transpose(0, 2, 1), out=beta[t])
             beta[t] /= scale[t + 1]
-        np.multiply(alpha.transpose(1, 0, 2), beta.transpose(1, 0, 2), out=z)
+        np.multiply(alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3), out=z)
     if not np.all(np.isfinite(z)):
         raise NumericalError("non-finite smoothed memberships in E-step")
 
-    zz = np.zeros((I, T, K, K))
-    ahead = (phi[1:] * beta[1:] / scale[1:]).transpose(1, 0, 2)
-    np.multiply(alpha[:-1].transpose(1, 0, 2)[:, :, :, None], Pi, out=zz[:, 1:])
-    zz[:, 1:] *= ahead[:, :, None, :]
-    return Posteriors(z, zz, log_lik)
+    # zz[h, i, t, j, k] = (alpha[t-1, h, i, j] Pi[h, j, k]) ahead[t, h, i, k],
+    # formed state pair by state pair over contiguous (T - 1, H, I) slices so
+    # that the innermost loop runs over units, not over K, then copied once
+    # into the layout the CM steps read
+    ahead = phi[1:] * beta[1:] / scale[1:]
+    pairs = np.multiply(np.ascontiguousarray(alpha[:-1].transpose(3, 0, 1, 2))[:, None],
+                        Pi.transpose(1, 2, 0)[:, :, None, :, None])
+    pairs *= np.ascontiguousarray(ahead.transpose(3, 0, 1, 2))
+    zz = np.zeros((H, I, T, K, K))
+    zz[:, :, 1:] = pairs.transpose(3, 4, 2, 0, 1)
+    return [Posteriors(z[h], zz[h], fwd.log_lik) for h, fwd in enumerate(fwds)]
 
 
 def _e_step_arrays(X: np.ndarray, params: HmmParams) -> Posteriors:
-    return _backward(_forward(X, params), params.Pi)
+    [post] = _backward(_forward(X, [params]), [params.Pi])
+    return post
 
 
 def e_step(panel: MatrixPanel, params: HmmParams) -> Posteriors:
@@ -430,52 +485,114 @@ def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator)
     return HmmParams(pi, Pi, means, sigmas, psis)
 
 
-class _EcmState(NamedTuple):
+@dataclass
+class _Run:
+    """One ECM run: its model, the forward pass at it, its spectral parts,
+    its log-likelihood trace, and how it ended."""
+
     params: HmmParams
-    fwd: _Forward  # the forward pass at ``params``
-    trace: list
     sigma_parts: SpectralParts
     psi_parts: SpectralParts
-    converged: bool
+    fwd: _Forward | None = None
+    trace: list = field(default_factory=list)
+    converged: bool = False
+    error: FitError | None = None  # what the run raised, as a fit reports it
+
+    def fail(self, exc: Exception, it: int | None) -> None:
+        """Record ``exc``, raised in iteration ``it`` (None: before any)."""
+        if it is None:
+            self.error = exc
+            return
+        kind = StateCollapseError if isinstance(exc, StateCollapseError) else NumericalError
+        self.error = kind(f"iteration {it}: {exc}", iteration=it)
+        self.error.__cause__ = exc
 
 
-def _run_ecm(panel: MatrixPanel, params: HmmParams, fwd: _Forward,
-             pair: tuple[str, str], config: FitConfig, max_iter: int,
-             sigma_parts: SpectralParts, psi_parts: SpectralParts) -> _EcmState:
-    """ECM iterations from ``params``, its forward pass ``fwd`` and its
-    spectral parts until convergence or ``max_iter``.
+def _each_run(e_pass: Callable, runs: list[_Run], it: int | None, *args
+              ) -> tuple[list[_Run], list]:
+    """``e_pass(*args, runs)`` on a block of runs: the runs it passed, and
+    their results in the same order.
 
-    Each iteration closes with a forward pass, whose log-likelihood decides
-    convergence; its backward pass runs only when another CM step follows
-    to read the posteriors.  The result carries the last forward pass, for
-    the caller to rank or to run :func:`_backward` on.
+    When a block's pass raises, each of its runs is passed again alone, so
+    a run that fails records the error it raises alone, drops out, and the
+    others go on.
     """
-    sigma_structure, psi_structure = pair
-    X = panel.unit_time_stack()
-    post = _backward(fwd, params.Pi) if max_iter else None
-    trace = [fwd.log_lik]
-    converged = False
-    for it in range(1, max_iter + 1):
+    if len(runs) > 1:
         try:
-            step1 = cm_step1(panel, post, params, sigma_structure, warm=sigma_parts)
-            params, psi_parts = cm_step2(panel, post, step1.params, psi_structure,
-                                         warm=psi_parts, moments=step1.moments)
-            sigma_parts = step1.parts
-            del step1  # frees the (K, PR, PR) moments before the E-step runs
-            fwd = _forward(X, params)
-            converged = abs(fwd.log_lik - trace[-1]) < config.tol * abs(trace[-1])
-            if not converged and it < max_iter:
-                post = _backward(fwd, params.Pi)
-        except (NumericalError, DecompositionError) as exc:
-            raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
-        except StateCollapseError as exc:
-            raise StateCollapseError(f"iteration {it}: {exc}", iteration=it) from exc
-        trace.append(fwd.log_lik)
-        if config.iter_hook is not None:
-            config.iter_hook(it, params, fwd.log_lik)
-        if converged:
+            return runs, e_pass(*args, runs)
+        except _STEP_ERRORS:
+            pass  # one run at a time below
+    passed, results = [], []
+    for run in runs:
+        try:
+            [result] = e_pass(*args, [run])
+        except _STEP_ERRORS as exc:
+            run.fail(exc, it)
+            continue
+        passed.append(run)
+        results.append(result)
+    return passed, results
+
+
+def _forward_runs(X: np.ndarray, runs: list[_Run]) -> list[_Forward]:
+    return _forward(X, [run.params for run in runs])
+
+
+def _backward_runs(runs: list[_Run]) -> list[Posteriors]:
+    return _backward([run.fwd for run in runs], [run.params.Pi for run in runs])
+
+
+def _cm_steps(panel: MatrixPanel, post: Posteriors, run: _Run,
+              pair: tuple[str, str]) -> None:
+    """One CM1 and one CM2 step of ``run`` at the posteriors ``post``; the
+    (K, PR, PR) moments are freed on return, before the block's E-step."""
+    step1 = cm_step1(panel, post, run.params, pair[0], warm=run.sigma_parts)
+    run.params, run.psi_parts = cm_step2(panel, post, step1.params, pair[1],
+                                         warm=run.psi_parts, moments=step1.moments)
+    run.sigma_parts = step1.parts
+
+
+def _run_ecm(panel: MatrixPanel, runs: list[_Run], pair: tuple[str, str],
+             config: FitConfig, max_iter: int) -> list[_Run]:
+    """ECM iterations, in lockstep, of a block of runs, each from its model,
+    the forward pass at it and its spectral parts, until it converges or
+    reaches ``max_iter``.
+
+    Each iteration runs both CM steps of every live run, then one forward
+    pass over the block, whose log-likelihoods decide convergence; one
+    backward pass follows over the runs that go on to another CM step.  A
+    run that converges or fails leaves the block, and a failure is kept on
+    the run as :attr:`_Run.error`.  Each run keeps its last forward pass,
+    for the caller to rank or to run :func:`_backward` on.
+    """
+    X = panel.unit_time_stack()
+    for run in runs:
+        run.trace, run.converged = [run.fwd.log_lik], False
+    live, posts = _each_run(_backward_runs, runs if max_iter else [], None)
+    for it in range(1, max_iter + 1):
+        stepped = []
+        for run, post in zip(live, posts):
+            try:
+                _cm_steps(panel, post, run, pair)
+            except _STEP_ERRORS as exc:
+                run.fail(exc, it)
+                continue
+            stepped.append(run)
+        live, fwds = _each_run(_forward_runs, stepped, it, X)
+        for run, fwd in zip(live, fwds):
+            run.converged = abs(fwd.log_lik - run.trace[-1]) < config.tol * abs(run.trace[-1])
+            run.fwd = fwd
+        going_on = [run for run in live if not run.converged and it < max_iter]
+        going_on, posts = _each_run(_backward_runs, going_on, it)
+        for run in live:
+            if run.error is None:
+                run.trace.append(run.fwd.log_lik)
+                if config.iter_hook is not None:
+                    config.iter_hook(it, run.params, run.fwd.log_lik)
+        live = going_on
+        if not live:
             break
-    return _EcmState(params, fwd, trace, sigma_parts, psi_parts, converged)
+    return runs
 
 
 def _canonical_order(means: np.ndarray) -> list[int]:
@@ -535,9 +652,11 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     the grand mean of their mean matrices.  Random starts begin from
     identity covariances with their known spectral parts.  Starts are
     ranked by the log-likelihood of their last forward pass, with no
-    backward pass; the winner's long run continues from that forward pass,
-    and one backward pass on the long run's last forward pass gives the
-    reported posteriors.
+    backward pass; the winner (the first start with the highest) continues
+    from that forward pass, and one backward pass on the long run's last
+    forward pass gives the reported posteriors.  The starts run in blocks in
+    lockstep (see :func:`_run_ecm`); each start's numbers are those it
+    would reach alone.
 
     Raises :class:`FitFailureError` when every start fails numerically.
     """
@@ -551,29 +670,32 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     P, R, I, T = panel.dims
 
     children = np.random.SeedSequence(config.seed).spawn(config.short_runs)
-    best: _EcmState | None = None
+    block_size = max(1, _BLOCK_ELEMENTS // (K * I * T * P * R))
+    best: _Run | None = None
     diagnostics = []
-    for h, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        try:
-            params0 = random_init(panel, K, pair, rng)
-            state = _run_ecm(panel, params0, _forward(X, params0), pair, config,
-                             config.short_iters, SpectralParts.identity(K, P),
-                             SpectralParts.identity(K, R))
-        except (NumericalError, StateCollapseError) as exc:
-            diagnostics.append(f"start {h + 1}: {exc}")
-            continue
-        if best is None or state.fwd.log_lik > best.fwd.log_lik:
-            best = state
+    for first in range(0, config.short_runs, block_size):
+        block = [_Run(random_init(panel, K, pair, np.random.default_rng(child)),
+                      SpectralParts.identity(K, P), SpectralParts.identity(K, R))
+                 for child in children[first:first + block_size]]
+        opened, fwds = _each_run(_forward_runs, block, None, X)
+        for run, fwd in zip(opened, fwds):
+            run.fwd = fwd
+        _run_ecm(panel, opened, pair, config, config.short_iters)
+        for h, run in enumerate(block, first + 1):
+            if run.error is not None:
+                diagnostics.append(f"start {h}: {run.error}")
+            elif best is None or run.fwd.log_lik > best.fwd.log_lik:
+                best = run
     if best is None:
         raise FitFailureError(
             f"all {config.short_runs} initializations failed for "
             f"{structure_name(pair)} with K={K}", diagnostics)
 
-    state = _run_ecm(panel, best.params, best.fwd, pair, config, config.max_iter,
-                     best.sigma_parts, best.psi_parts)
+    [state] = _run_ecm(panel, [best], pair, config, config.max_iter)
+    if state.error is not None:
+        raise state.error
     try:
-        post = _backward(state.fwd, state.params.Pi)
+        [post] = _backward([state.fwd], [state.params.Pi])
     except NumericalError as exc:
         it = len(state.trace) - 1
         raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc

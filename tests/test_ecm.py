@@ -54,7 +54,26 @@ def test_e_step_matches_sequence_enumeration(I, T, K, P, R):
     assert np.max(np.abs(post.zz - zz)) < 1e-10
     check_posteriors(post)
     # the forward pass alone gives the full E-step's log-likelihood
-    assert ecm._forward(X, params).log_lik == post.log_lik
+    [fwd] = ecm._forward(X, [params])
+    assert fwd.log_lik == post.log_lik
+
+
+def test_a_block_of_runs_gets_the_numbers_of_each_run_alone():
+    rng = np.random.default_rng(2)
+    X = rng.normal(scale=1.5, size=(7, 5, 3, 2))
+    block = [random_hmm_params(3, 3, 2, rng) for _ in range(4)]
+    block[1] = replace(block[1], sigmas=np.tile(np.eye(3), (3, 1, 1)))
+    fwds = ecm._forward(X, block)
+    posts = ecm._backward(fwds, [params.Pi for params in block])
+    for params, fwd, post in zip(block, fwds, posts):
+        [alone] = ecm._forward(X, [params])
+        for got, want in zip(fwd, alone):
+            assert np.array_equal(got, want)
+        [post_alone] = ecm._backward([alone], [params.Pi])
+        assert post.log_lik == post_alone.log_lik
+        for got, want in ((post.z, post_alone.z), (post.zz, post_alone.zz)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 def test_e_step_raises_on_a_unit_with_no_reachable_state():
@@ -84,7 +103,7 @@ def test_both_passes_name_the_first_unreachable_unit_in_unit_major_order():
     means = np.stack([np.zeros((2, 2)), np.full((2, 2), 40.0)])
     eye = np.tile(np.eye(2), (2, 1, 1))
     stuck = mh.HmmParams(np.array([1.0, 0.0]), np.eye(2), means, eye, eye)
-    for e_pass in (_e_step_arrays, ecm._forward):
+    for e_pass in (_e_step_arrays, lambda X, params: ecm._forward(X, [params])):
         with pytest.raises(mh.NumericalError, match="unit 2 .* time 3 "):
             e_pass(X, stuck)
 
@@ -96,7 +115,7 @@ def test_log_lik_pass_raises_on_a_non_finite_log_lik():
     nan_pi = replace(params, pi=np.full(2, np.nan))
     nan_Pi = replace(params, Pi=np.array([[0.5, 0.5], [np.nan, 0.5]]))
     for broken in (nan_pi, nan_Pi):
-        for e_pass in (_e_step_arrays, ecm._forward):
+        for e_pass in (_e_step_arrays, lambda X, params: ecm._forward(X, [params])):
             with pytest.raises(mh.NumericalError, match="non-finite log-likelihood"):
                 e_pass(X, broken)
 
@@ -489,13 +508,14 @@ def test_fit_runs_the_backward_pass_only_where_it_is_read(monkeypatch):
     forward, backward = [], []
     forward_pass, backward_pass = ecm._forward, ecm._backward
 
-    def counting_forward(X, params):
-        forward.append(params.K)
-        return forward_pass(X, params)
+    # count runs, not calls: a call passes a block of runs
+    def counting_forward(X, block):
+        forward.extend(params.K for params in block)
+        return forward_pass(X, block)
 
-    def counting_backward(fwd, Pi):
-        backward.append(Pi.shape)
-        return backward_pass(fwd, Pi)
+    def counting_backward(fwds, Pis):
+        backward.extend(Pi.shape for Pi in Pis)
+        return backward_pass(fwds, Pis)
 
     monkeypatch.setattr(ecm, "_forward", counting_forward)
     monkeypatch.setattr(ecm, "_backward", counting_backward)
@@ -531,14 +551,14 @@ def test_a_failing_report_backward_pass_names_the_last_iteration(monkeypatch):
     iterations = mh.fit(panel, "VVV-VV", 2, config).iterations
     run_ecm = ecm._run_ecm
 
-    def broken(fwd, Pi):
+    def broken(fwds, Pis):
         raise mh.NumericalError("non-finite smoothed memberships in E-step")
 
-    def break_backward_after_the_long_run(pan, params, fwd, pair, cfg, max_iter, *parts):
-        state = run_ecm(pan, params, fwd, pair, cfg, max_iter, *parts)
+    def break_backward_after_the_long_run(pan, runs, pair, cfg, max_iter):
+        runs = run_ecm(pan, runs, pair, cfg, max_iter)
         if max_iter == cfg.max_iter:
             monkeypatch.setattr(ecm, "_backward", broken)
-        return state
+        return runs
 
     monkeypatch.setattr(ecm, "_run_ecm", break_backward_after_the_long_run)
     with pytest.raises(mh.NumericalError,
@@ -570,8 +590,10 @@ def test_fit_factors_no_identity_covariance(monkeypatch, structure, per_start):
     calls = []
     original = matnorm._chol_inv_logdet
 
+    # count matrices per start: a block's density call factors the stacks
+    # of all its starts at once
     def counting(mats, what):
-        calls.append(what)
+        calls.append(len(mats) // 2)
         return original(mats, what)
 
     monkeypatch.setattr(matnorm, "_chol_inv_logdet", counting)
@@ -582,7 +604,7 @@ def test_fit_factors_no_identity_covariance(monkeypatch, structure, per_start):
     # a start's first forward pass and first row scatter meet identities;
     # its column scatter and closing forward pass factor the fresh Sigma,
     # and the fresh Psi unless the column structure keeps it the identity
-    assert len(calls) == config.short_runs * per_start
+    assert sum(calls) == config.short_runs * per_start
 
 
 @pytest.mark.parametrize("unit_dim", ["P", "R", "T", "I", "K"])
@@ -627,6 +649,67 @@ def test_every_structure_fits_or_raises_a_typed_error_on_edge_panels():
                 assert np.all(np.isfinite(arr)), (mh.structure_name(pair), K)
 
 
+def _fit_outcome(panel, pair, K, config):
+    """Every field of a fit's report, or the type, message and details of
+    the error it raised."""
+    try:
+        report = mh.fit(panel, pair, K, config)
+    except mh.FitFailureError as exc:
+        return type(exc), str(exc), exc.diagnostics
+    except mh.FitError as exc:
+        return type(exc), str(exc), exc.iteration
+    p, post = report.params, report.posteriors
+    return (report.log_lik_trace, p.pi, p.Pi, p.means, p.sigmas, p.psis, post.z,
+            post.zz, post.log_lik, report.decoded, report.converged)
+
+
+def _same_outcome(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b))
+
+
+def _edge_panel():
+    return mh.MatrixPanel(np.random.default_rng(32).normal(size=(2, 3, 4, 2)))
+
+
+def test_fit_does_not_depend_on_the_block_size(monkeypatch):
+    panel, _ = two_state_panel(np.random.default_rng(33), I=100, T=10, sep=2.0)
+    cases = [(panel, pair, 2, mh.FitConfig(short_runs=40, short_iters=si, max_iter=50))
+             for pair in ("EII-II", "VVE-VE", "VVV-VV") for si in (1, 3)]
+    # K = 7 on 8 observations: some starts fail, and some fits fail outright
+    cases += [(_edge_panel(), pair, 7, mh.FitConfig(short_runs=6, short_iters=si, max_iter=20))
+              for pair in mh.all_structure_pairs() for si in (1, 3)]
+    # one start per block, the default (blocks of 8 on the first panel), and
+    # every start in one block
+    caps = (1, ecm._BLOCK_ELEMENTS, 1 << 62)
+    outcomes = []
+    for cap in caps:
+        monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", cap)
+        outcomes.append([_fit_outcome(*case) for case in cases])
+    for case, (alone, *blocked) in zip(cases, zip(*outcomes)):
+        for other in blocked:
+            assert _same_outcome(alone, other), (mh.structure_name(case[1]), case[3])
+    kinds = {outcome[0] for outcome in outcomes[0] if len(outcome) == 3}
+    assert kinds == {mh.FitFailureError, mh.StateCollapseError, mh.NumericalError}
+
+
+def test_fit_lists_failed_starts_in_start_order(monkeypatch):
+    # start 5 fails in iteration 2, the others in iteration 3: a block sees
+    # start 5 fail first
+    config = mh.FitConfig(short_runs=6, short_iters=3, max_iter=20)
+    with pytest.raises(mh.FitFailureError) as blocked:
+        mh.fit(_edge_panel(), "EII-VV", 7, config)
+    monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", 1)
+    with pytest.raises(mh.FitFailureError) as alone:
+        mh.fit(_edge_panel(), "EII-VV", 7, config)
+    diagnostics = blocked.value.diagnostics
+    starts = [int(re.match(r"start (\d+): iteration \d+: ", d).group(1)) for d in diagnostics]
+    assert starts == list(range(1, 7))
+    assert diagnostics == alone.value.diagnostics
+    assert "start 5: iteration 2: " in diagnostics[4]
+
+
 def test_a_state_collapse_in_the_long_run_names_its_iteration():
     panel = small_panel(np.random.default_rng(0), I=4, T=2, P=2, R=3)
     with pytest.raises(mh.StateCollapseError) as excinfo:
@@ -657,16 +740,29 @@ def test_fit_overparameterized_warning():
     assert any("overparameterized" in w for w in report.warnings)
 
 
-def test_fit_iter_hook_sees_every_iteration():
+def test_fit_iter_hook_sees_every_iteration(monkeypatch):
     rng = np.random.default_rng(19)
     panel, _ = two_state_panel(rng, I=30, T=4)
-    seen = []
-    config = mh.FitConfig(short_runs=2, iter_hook=lambda it, params, ll: seen.append((it, ll)))
-    report = mh.fit(panel, "EII-II", 2, config)
-    # short phase contributes 2 hooks (one per start), the rest come from
-    # the continued run
-    assert len(seen) == 2 + report.iterations
-    assert seen[-1][1] == report.log_lik_trace[-1]
+    # the default block holds both starts; a cap of one start per block runs
+    # each start alone
+    caps = (ecm._BLOCK_ELEMENTS, 1)
+    for short_iters in (1, 2):
+        seen = {}
+        for cap in caps:
+            calls = seen[cap] = []
+            config = mh.FitConfig(short_runs=2, short_iters=short_iters,
+                                  iter_hook=lambda it, params, ll: calls.append((it, ll)))
+            monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", cap)
+            report = mh.fit(panel, "EII-II", 2, config)
+            # one call per start and short iteration, the rest from the
+            # continued run
+            assert len(calls) == 2 * short_iters + report.iterations
+            assert calls[-1][1] == report.log_lik_trace[-1]
+        blocked, alone = seen.values()
+        # a block's starts go iteration by iteration; the calls are the same
+        assert sorted(blocked) == sorted(alone)
+        assert [it for it, _ in blocked[:2 * short_iters]] == \
+            [it for it in range(1, short_iters + 1) for _ in range(2)]
 
 
 def test_fit_rejects_bad_arguments():
