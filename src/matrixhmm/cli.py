@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,6 @@ def cmd_simulate(args) -> int:
     if Path(args.scenario).is_file():
         scenario = reports.load_scenario(args.scenario)
         if args.replicates is not None:
-            from dataclasses import replace
             scenario = replace(scenario, replicates=args.replicates)
     else:
         scenario = simulate.get_scenario(args.scenario, replicates=args.replicates)

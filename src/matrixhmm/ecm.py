@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (DecompositionError, FitError, FitFailureError,
                      NumericalError, StateCollapseError)
-from .matnorm import MatNormParams, _chol_inv_logdet, _is_identity, _log_density_states
+from .matnorm import MatNormParams, _factors, _log_density_states
 from .panel import MatrixPanel
 from .structures import (Scatter, SpectralParts, count_psi_params,
                          count_sigma_params, derive_parts, parse_structure,
@@ -204,11 +204,6 @@ class CmStep1Result(NamedTuple):
     moments: np.ndarray   # (K, P, R, P, R) per-state moments about the means
 
 
-def _log_phi(X: np.ndarray, params: HmmParams) -> np.ndarray:
-    """State-conditional log-densities of every observation, (I, T, K)."""
-    return _log_density_states(X, params.means, params.sigmas, params.psis)
-
-
 class _Forward(NamedTuple):
     """A forward pass of one run: the scaled state densities ``phi`` and
     forward variables ``alpha``, both time-major (T, I, K), the (T, I, 1)
@@ -374,14 +369,11 @@ def _scatter(moments: np.ndarray, covs: np.ndarray, what: str) -> np.ndarray:
     callers form the moments: :func:`cm_step1` forms them and
     :func:`cm_step2` reuses those, or forms them when called on its own.
     A stack of exact identities, such as a random start's column
-    covariances, is contracted as it is and never factored: its inverse
-    through the Cholesky factor is exactly the same identity, so the
-    scatter is bit for bit the one the general path gives.
+    covariances, is contracted as it is and never factored (see
+    :func:`matrixhmm.matnorm._factors`).
     """
-    inv = covs
-    if not _is_identity(covs):
-        L_inv, _ = _chol_inv_logdet(covs, what)
-        inv = np.swapaxes(L_inv, 1, 2) @ L_inv
+    L_inv, _ = _factors(covs, what)
+    inv = covs if L_inv is None else np.swapaxes(L_inv, 1, 2) @ L_inv
     raw = np.einsum("kprqs,krs->kpq", moments, inv)
     return np.stack([_jittered(mat) for mat in raw])
 
@@ -464,13 +456,13 @@ def cm_step2(panel: MatrixPanel, post: Posteriors, current: HmmParams,
     return replace(current, psis=psis), parts
 
 
-def random_init(panel: MatrixPanel, K: int, structure, rng: np.random.Generator) -> HmmParams:
+def random_init(panel: MatrixPanel, K: int, rng: np.random.Generator) -> HmmParams:
     """Random starting point: uniform pi, flat-Dirichlet transition rows,
     means drawn from K distinct observed matrices, identity covariances.
 
     The covariances are exact identities, so a start's first E-step and
-    its first row scatter factor nothing (see :mod:`matrixhmm.matnorm`)."""
-    parse_structure(structure)
+    its first row scatter factor nothing (see :mod:`matrixhmm.matnorm`).
+    Nothing of the start depends on the structure."""
     P, R, I, T = panel.dims
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -638,7 +630,8 @@ def expected_complete_loglik(panel: MatrixPanel, post: Posteriors,
     mask = zz_t > 0
     term2 = float(np.sum(zz_t[mask]
                          * np.broadcast_to(log_Pi, zz_t.shape)[mask]))
-    log_phi = _log_phi(panel.unit_time_stack(), params)
+    log_phi = _log_density_states(panel.unit_time_stack(), params.means,
+                                  params.sigmas, params.psis)
     term3 = float(np.sum(post.z * log_phi))
     return term1 + term2 + term3
 
@@ -674,7 +667,7 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     best: _Run | None = None
     diagnostics = []
     for first in range(0, config.short_runs, block_size):
-        block = [_Run(random_init(panel, K, pair, np.random.default_rng(child)),
+        block = [_Run(random_init(panel, K, np.random.default_rng(child)),
                       SpectralParts.identity(K, P), SpectralParts.identity(K, R))
                  for child in children[first:first + block_size]]
         opened, fwds = _each_run(_forward_runs, block, None, X)
@@ -692,13 +685,11 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
             f"{structure_name(pair)} with K={K}", diagnostics)
 
     [state] = _run_ecm(panel, [best], pair, config, config.max_iter)
+    if state.error is None:  # a failing pass records its error, named by the last iteration
+        _, posts = _each_run(_backward_runs, [state], len(state.trace) - 1)
     if state.error is not None:
         raise state.error
-    try:
-        [post] = _backward([state.fwd], [state.params.Pi])
-    except NumericalError as exc:
-        it = len(state.trace) - 1
-        raise NumericalError(f"iteration {it}: {exc}", iteration=it) from exc
+    [post] = posts
 
     order = _canonical_order(state.params.means)
     params = _permute_params(state.params, order)

@@ -90,9 +90,13 @@ def _chol_inv_logdet(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarra
     return np.linalg.inv(L), logdets
 
 
-def _is_identity(mats: np.ndarray) -> bool:
-    """Whether every matrix of a (K, Q, Q) stack is exactly the identity."""
-    return np.array_equal(mats, np.broadcast_to(np.eye(mats.shape[-1]), mats.shape))
+def _factors(mats: np.ndarray, what: str) -> tuple[np.ndarray | None, np.ndarray]:
+    """:func:`_chol_inv_logdet` of a (K, Q, Q) stack, or None and K zeros
+    when every matrix is exactly the identity: then the inverse factor is
+    exactly I and a product with it would change nothing, bit for bit."""
+    if np.array_equal(mats, np.broadcast_to(np.eye(mats.shape[-1]), mats.shape)):
+        return None, np.zeros(len(mats))
+    return _chol_inv_logdet(mats, what)
 
 
 def _log_density_states(Xs: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
@@ -102,18 +106,12 @@ def _log_density_states(Xs: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
     ``Xs`` is (..., P, R) and ``means``, ``sigmas``, ``psis`` are (K, P, R),
     (K, P, P), (K, R, R) stacks; the result has shape (..., K).  A
     covariance stack that is exactly the identity in every state is neither
-    factored nor multiplied by: its log-determinant is exactly 0 and its
-    product would return the residuals unchanged, bit for bit.  A stack
-    with any other state takes the general path.
+    factored nor multiplied by (see :func:`_factors`).
     """
     K, P, R = means.shape
     lead = Xs.shape[:-2]
-    LS_inv = LP_inv = None
-    logdet_S = logdet_P = np.zeros(K)
-    if not _is_identity(sigmas):
-        LS_inv, logdet_S = _chol_inv_logdet(sigmas, "row covariance Sigma")
-    if not _is_identity(psis):
-        LP_inv, logdet_P = _chol_inv_logdet(psis, "column covariance Psi")
+    LS_inv, logdet_S = _factors(sigmas, "row covariance Sigma")
+    LP_inv, logdet_P = _factors(psis, "column covariance Psi")
     Xc = Xs.reshape(-1, P, R)[None] - means[:, None]    # (K, N, P, R)
     N = Xc.shape[1]
     # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2; the right factor

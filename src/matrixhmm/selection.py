@@ -37,6 +37,9 @@ class ModelGrid:
             raise ValueError("grid must contain at least one structure and one K")
         if any(b <= a for a, b in zip(Ks, Ks[1:])) or Ks[0] < 1:
             raise ValueError("Ks must be strictly increasing and >= 1")
+        for i, pair in enumerate(pairs):
+            if pair in pairs[:i]:
+                raise ValueError(f"structure {structure_name(pair)} is repeated")
         object.__setattr__(self, "structures", pairs)
         object.__setattr__(self, "Ks", Ks)
 

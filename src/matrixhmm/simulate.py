@@ -264,12 +264,13 @@ def timing_run(scenarios, modes=("sequential", "parallel"), workers: int = 2,
     rows = []
     if isinstance(modes, str):
         modes = (modes,)
+    for mode in modes:
+        if mode not in ("sequential", "parallel"):
+            raise ValueError(f"unknown timing mode {mode!r}")
     for scenario in scenarios:
         panel, _ = generate(scenario, 0, seed)
         grid = selection.ModelGrid(Ks=(scenario.K,), config=config)
         for mode in modes:
-            if mode not in ("sequential", "parallel"):
-                raise ValueError(f"unknown timing mode {mode!r}")
             n_workers = 1 if mode == "sequential" else workers
             start = time.perf_counter()
             selection.run_grid(panel, grid, workers=n_workers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import expm
 
 import matrixhmm as mh
 
@@ -86,6 +87,111 @@ def psi_objective(psis, W):
     """Column-covariance part (unit determinants make the logdet term vanish)."""
     return float(-0.5 * sum(np.trace(np.linalg.solve(psis[k], W[k]))
                             for k in range(len(W))))
+
+
+def _tag_parts(covs, tag):
+    """Volumes, unit-determinant stack, orthogonal bases and shapes of a
+    (K, Q, Q) stack read the way ``tag`` (a row or column structure tag)
+    parametrizes it: shared parts are taken from the first state."""
+    K, Q, _ = covs.shape
+    vol = np.exp(np.linalg.slogdet(covs)[1] / Q)
+    if len(tag) == 2:
+        vol = np.ones(K)
+    elif tag[0] == "E":
+        vol = np.full(K, vol[0])
+    units = covs / vol[:, None, None]
+    shape, orient = tag[-2:]
+    if orient == "I":
+        bases = np.tile(np.eye(Q), (K, 1, 1))
+    elif orient == "E":  # a shared basis diagonalizes the sum of the states
+        bases = np.tile(np.linalg.eigh(units.sum(axis=0))[1], (K, 1, 1))
+    else:
+        bases = np.linalg.eigh(units)[1]  # ascending, so shared shapes line up
+    shapes = np.einsum("kpq,kpr,krq->kq", bases, units, bases)
+    if shape == "I":
+        shapes = np.ones((K, Q))
+    elif shape == "E":
+        shapes = np.tile(shapes[0], (K, 1))
+        if orient == "E":
+            units = np.tile(units[0], (K, 1, 1))
+    return vol, units, bases, shapes
+
+
+def _tag_point(parts, tag, rng, eps, moves):
+    """A feasible point of ``tag`` at distance ``eps`` from ``parts`` along
+    random directions of the named ``moves``: volumes exp(eps a) times
+    (shared for E), shapes times exp(eps s) with s summing to zero, bases
+    B expm(eps S) with S skew, and for EE and VV unit stacks L expm(eps S) L'
+    with S symmetric and trace-free (L L' the state's matrix).  Parts a tag
+    shares get one direction for every state."""
+    vol, units, bases, shapes = parts
+    K, Q, _ = units.shape
+    shape, orient = tag[-2:]
+    if "volume" in moves:
+        vol = vol * np.exp(eps * rng.normal(size=1 if tag[0] == "E" else K))
+    if shape + orient in ("EE", "VV"):
+        if "shape" in moves:
+            moved = []
+            for k, unit in enumerate(units):
+                if k == 0 or shape == "V":
+                    S = rng.normal(size=(Q, Q))
+                    S += S.T
+                    S -= np.trace(S) / Q * np.eye(Q)
+                L = np.linalg.cholesky(unit)
+                moved.append(L @ expm(eps * S) @ L.T)
+            units = np.stack(moved)
+    else:
+        if "shape" in moves:
+            s = rng.normal(size=(1 if shape == "E" else K, Q))
+            shapes = shapes * np.exp(eps * (s - s.mean(axis=1, keepdims=True)))
+        if "orientation" in moves:
+            skews = rng.normal(size=(1 if orient == "E" else K, Q, Q))
+            bases = bases @ np.stack([expm(eps * (A - A.T)) for A in skews])
+        units = np.einsum("kpq,kq,krq->kpr", bases, shapes, bases)
+    return vol[:, None, None] * units
+
+
+def best_feasible_gain(covs, scatter, tag, R, rng, n_directions=3):
+    """How far an update ``covs`` of structure ``tag`` is from being the
+    optimum of its own constraint set, by the volume/shape/orientation split
+    of Celeux & Govaert (1995), with no code from ``structures``.
+
+    Returns the largest relative error of ``covs`` rebuilt from its parts
+    (0 up to rounding when it is feasible), and the largest gain of
+    :func:`sigma_objective` (row tags, R columns) or :func:`psi_objective`
+    (column tags) over ``covs`` among feasible points at eps in {1e-4, 1e-3,
+    1e-2, 1e-1} along each free part alone, and all of them at once, in
+    ``n_directions`` random directions and their opposites.  Gains are
+    relative to the sum of the magnitudes of the objective's terms.
+    """
+    Y, w = scatter
+    row = len(tag) == 3
+
+    def objective(c):
+        return sigma_objective(c, Y, w, R) if row else psi_objective(c, Y)
+
+    base = objective(covs)
+    size = 0.5 * sum(np.trace(np.linalg.solve(c, y)) for c, y in zip(covs, Y))
+    if row:
+        size += 0.5 * R * float(np.sum(w * np.abs(np.linalg.slogdet(covs)[1])))
+    parts = _tag_parts(covs, tag)
+    rebuilt = _tag_point(parts, tag, rng, 0.0, ())
+    infeasible = float(np.max(np.abs(rebuilt - covs)) / np.max(np.abs(covs)))
+    shape, orient = tag[-2:]
+    general = shape + orient in ("EE", "VV")  # shape and orientation in one move
+    single = [m for m, free in (("volume", row), ("shape", shape != "I"),
+                                ("orientation", orient != "I" and not general)) if free]
+    moves = [(m,) for m in single] + ([tuple(single)] if len(single) > 1 else [])
+    gain = -np.inf
+    for eps in (1e-4, 1e-3, 1e-2, 1e-1):
+        for move in moves:
+            for _ in range(n_directions):
+                state = rng.bit_generator.state
+                for sign in (1.0, -1.0):
+                    rng.bit_generator.state = state  # the opposite direction
+                    point = _tag_point(parts, tag, rng, sign * eps, move)
+                    gain = max(gain, (objective(point) - base) / size)
+    return infeasible, gain
 
 
 def random_scatter(K, Q, rng, weight_range=(20.0, 80.0)):

@@ -119,6 +119,42 @@ def test_select_single_cell_matches_library(two_state_csv, tmp_path, capsys):
     assert (out / "best_fit.txt").is_file()
 
 
+class _GridCaught(Exception):
+    pass
+
+
+def _catch_grid(panel, grid, workers=1):
+    raise _GridCaught(grid)
+
+
+@pytest.mark.parametrize("argv, Ks, structures", [
+    (["--Ks", "1-3", "--structures", "EII-II"], (1, 2, 3), (("EII", "II"),)),
+    (["--Ks", " 2-2 ", "--structures", "VVV-VV,eii-ii"], (2,),
+     (("VVV", "VV"), ("EII", "II"))),
+    (["--Ks", "3,1,3", "--structures", "all"], (1, 3), tuple(mh.all_structure_pairs())),
+    (["--Ks", "2"], (2,), tuple(mh.all_structure_pairs())),
+], ids=["range", "range-of-one", "all", "default-all"])
+def test_select_passes_the_parsed_grid(two_state_csv, tmp_path, monkeypatch,
+                                       argv, Ks, structures):
+    monkeypatch.setattr("matrixhmm.selection.run_grid", _catch_grid)
+    with pytest.raises(_GridCaught) as caught:
+        main(["select", "--data", str(two_state_csv), "--out-dir", str(tmp_path / "out"),
+              "--short-runs", "4", "--seed", "9", *argv])
+    grid = caught.value.args[0]
+    assert grid.Ks == Ks
+    assert grid.structures == structures
+    assert grid.config == mh.FitConfig(short_runs=4, seed=9)
+
+
+def test_select_repeated_structure_usage_error(two_state_csv, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setattr("matrixhmm.selection.run_grid", _catch_grid)
+    code = main(["select", "--data", str(two_state_csv), "--Ks", "2",
+                 "--structures", "EII-II,eii-ii", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "structure EII-II is repeated" in capsys.readouterr().err
+
+
 def test_select_logit_domain_error_before_fitting(tmp_path, capsys):
     values = np.full((1, 1, 2, 2), 0.25)
     values[0, 0, 1, 1] = 1.0
@@ -164,14 +200,24 @@ def test_simulate_unknown_scenario_lists_builtins(tmp_path, capsys):
 
 def test_simulate_scenario_file(tmp_path):
     scen = mh.get_scenario("EII-II/K2/T5/overlap2", replicates=1)
-    from dataclasses import replace
     scen = replace(scen, I=20, label="custom/tiny")
     scen_path = tmp_path / "scen.txt"
     reports.save_scenario(scen, scen_path)
     code = main(["simulate", "--scenario", str(scen_path), "--short-runs", "5",
                  "--out-dir", str(tmp_path)])
     assert code == 0
-    assert "custom/tiny" in (tmp_path / "recovery.csv").read_text()
+    rows = (tmp_path / "recovery.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("custom/tiny,") and row.endswith(",1")
+                        for row in rows)
+    # --replicates overrides the count the file states
+    out = tmp_path / "two"
+    code = main(["simulate", "--scenario", str(scen_path), "--replicates", "2",
+                 "--short-runs", "5", "--out-dir", str(out)])
+    assert code == 0
+    rows = (out / "recovery.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("custom/tiny,") and row.endswith(",2")
+                        for row in rows)
+    assert len((out / "fit_timing.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_decode_passthrough_and_switch_counts(two_state_csv, tmp_path):

@@ -365,10 +365,10 @@ def test_random_init_invariants():
     rng = np.random.default_rng(9)
     panel = small_panel(rng, I=5, T=4)
     for K in (1, 2, 3):
-        params = mh.random_init(panel, K, ("VVV", "VV"), np.random.default_rng(K))
+        params = mh.random_init(panel, K, np.random.default_rng(K))
         params.validate()
         assert np.array_equal(params.sigmas, np.tile(np.eye(2), (K, 1, 1)))
-    one = mh.random_init(panel, 1, "EII-II", np.random.default_rng(0))
+    one = mh.random_init(panel, 1, np.random.default_rng(0))
     assert np.array_equal(one.pi, [1.0])
     assert np.array_equal(one.Pi, [[1.0]])
 
@@ -378,7 +378,7 @@ def test_random_init_means_are_distinct_observations():
     panel = small_panel(rng, I=4, T=3)
     X = panel.unit_time_stack().reshape(-1, 2, 2)
     for seed in range(100):
-        params = mh.random_init(panel, 3, ("EII", "II"), np.random.default_rng(seed))
+        params = mh.random_init(panel, 3, np.random.default_rng(seed))
         rows = {tuple(m.ravel()) for m in params.means}
         assert len(rows) == 3
         for m in params.means:
@@ -388,7 +388,7 @@ def test_random_init_means_are_distinct_observations():
     panel = small_panel(rng, I=5, T=3, P=2, R=4)
     X = panel.unit_time_stack().reshape(-1, 2, 4)
     for seed in range(20):
-        params = mh.random_init(panel, 4, ("EII", "II"), np.random.default_rng(seed))
+        params = mh.random_init(panel, 4, np.random.default_rng(seed))
         replica = np.random.default_rng(seed)
         replica.dirichlet(np.ones(4), size=4)
         picks = replica.choice(15, size=4, replace=False)
@@ -399,7 +399,7 @@ def test_random_init_k_too_large():
     rng = np.random.default_rng(11)
     panel = small_panel(rng, I=2, T=2)
     with pytest.raises(ValueError, match="distinct mean matrices"):
-        mh.random_init(panel, 5, ("EII", "II"), rng)
+        mh.random_init(panel, 5, rng)
 
 
 # ----------------------------------------------------------------- decode
@@ -597,7 +597,6 @@ def test_fit_factors_no_identity_covariance(monkeypatch, structure, per_start):
         return original(mats, what)
 
     monkeypatch.setattr(matnorm, "_chol_inv_logdet", counting)
-    monkeypatch.setattr(ecm, "_chol_inv_logdet", counting)
     config = mh.FitConfig(short_runs=3, max_iter=0, seed=8)
     report = mh.fit(panel, structure, 2, config)
     assert report.iterations == 0
@@ -708,6 +707,21 @@ def test_fit_lists_failed_starts_in_start_order(monkeypatch):
     assert starts == list(range(1, 7))
     assert diagnostics == alone.value.diagnostics
     assert "start 5: iteration 2: " in diagnostics[4]
+
+
+def test_a_start_whose_first_pass_fails_names_no_iteration(monkeypatch):
+    # finite values whose squared residuals overflow: every start's opening
+    # forward pass fails, before any iteration
+    values = 1e160 * np.random.default_rng(34).normal(size=(2, 2, 5, 3))
+    panel = mh.MatrixPanel(values)
+    assert np.all(np.isfinite(panel.values))
+    expected = tuple(f"start {h}: non-finite state log-density in E-step" for h in (1, 2, 3))
+    for cap in (ecm._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", cap)
+        with pytest.raises(mh.FitFailureError) as excinfo:
+            mh.fit(panel, "EII-II", 2, mh.FitConfig(short_runs=3))
+        assert excinfo.value.iteration is None
+        assert excinfo.value.diagnostics == expected
 
 
 def test_a_state_collapse_in_the_long_run_names_its_iteration():

@@ -50,6 +50,11 @@ def test_model_grid_validation():
         mh.ModelGrid(structures=(("EII", "II"),), Ks=(2, 2))
     with pytest.raises(ValueError, match="at least one"):
         mh.ModelGrid(structures=(), Ks=(1,))
+    # the same pair twice would fit the same cell, with the same seed, twice
+    with pytest.raises(ValueError, match="^structure EII-II is repeated$"):
+        mh.ModelGrid(structures=("EII-II", "VVV-VV", "eii-ii"), Ks=(1,))
+    with pytest.raises(ValueError, match="^structure VVV-VV is repeated$"):
+        mh.ModelGrid(structures=(("VVV", "VV"), "vvv-vv"), Ks=(1,))
     grid = mh.ModelGrid(structures=("EII-II", ("VVV", "VV")), Ks=(1, 2))
     assert grid.cells() == [(("EII", "II"), 1), (("EII", "II"), 2),
                             (("VVV", "VV"), 1), (("VVV", "VV"), 2)]

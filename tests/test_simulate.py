@@ -233,6 +233,17 @@ def test_timing_run_shape_and_overhead_bound():
         mh.timing_run([scen], modes=("warp",), config=config)
 
 
+def test_timing_run_checks_every_mode_before_fitting(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before every mode was checked")
+
+    monkeypatch.setattr("matrixhmm.selection.run_grid", never)
+    monkeypatch.setattr("matrixhmm.simulate.generate", never)
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2")
+    with pytest.raises(ValueError, match="^unknown timing mode 'warp'$"):
+        mh.timing_run([scen], modes=("sequential", "warp"))
+
+
 def test_import_leaves_scipy_unloaded():
     # align_states imports scipy.optimize when it runs, not at import
     src = str(Path(mh.__file__).resolve().parents[1])

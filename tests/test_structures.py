@@ -7,8 +7,8 @@ from matrixhmm import (PSI_STRUCTURES, SIGMA_STRUCTURES, Scatter,
 from matrixhmm.errors import DecompositionError
 from matrixhmm.structures import (SpectralParts, all_structure_pairs,
                                   derive_parts, update_psi, update_sigma)
-from oracles import (psi_objective, random_scatter, separated_descending,
-                     sigma_objective)
+from oracles import (best_feasible_gain, psi_objective, random_scatter,
+                     separated_descending, sigma_objective)
 
 DIMS = (3, 2, 40, 5)  # P, R, I, T used by most scatter tests
 
@@ -250,6 +250,35 @@ def test_psi_nesting_vv_attains_the_best_objective():
         psis, _ = update_psi(structure, sc, parts, DIMS)
         val = psi_objective(psis, sc.matrices)
         assert val <= best + 1e-9 * abs(best), structure
+
+
+# one block-coordinate step each: with varying volumes a shared shape is fitted
+# to the scatters over the previous volumes, and VE's orientation is an MM
+# run from the previous orientation at the previous shapes
+BLOCK_STEP_TAGS = ("VEI", "VEE", "VEV", "EVE", "VVE", "VE")
+
+
+@pytest.mark.parametrize("structure", SIGMA_STRUCTURES + PSI_STRUCTURES)
+def test_every_update_is_the_optimum_of_its_constraint_set(structure):
+    row = structure in SIGMA_STRUCTURES
+    update = update_sigma if row else update_psi
+    for seed, (K, Q) in enumerate([(1, 2), (2, 3), (3, 2), (3, 3)]):
+        rng = np.random.default_rng(seed)
+        dims = (Q, 2, 20, 5) if row else (2, Q, 20, 5)
+        for scale in (1.0, 1e3):
+            sc = scaled_scatter(K, Q, rng, dims)
+            sc = Scatter(scale * sc.matrices, sc.weights)
+            covs, parts = update(structure, sc, None, dims)
+            if structure in BLOCK_STEP_TAGS:
+                # the point that chained warm updates reach
+                for _ in range(300):
+                    moved, parts = update(structure, sc, parts, dims)
+                    if np.array_equal(moved, covs):
+                        break
+                    covs = moved
+            infeasible, gain = best_feasible_gain(covs, sc, structure, dims[1], rng)
+            assert infeasible < 1e-10, (K, Q, scale)
+            assert gain <= 1e-12, (K, Q, scale, gain)
 
 
 def test_empty_state_weight_rejected():
