@@ -22,20 +22,6 @@ from .panel import load_panel, logit_transform
 from .structures import all_structure_pairs, parse_structure, structure_name
 
 
-def _add_fit_options(parser: argparse.ArgumentParser) -> None:
-    defaults = FitConfig()
-    parser.add_argument("--seed", type=int, default=defaults.seed,
-                        help="master random seed (default %(default)s)")
-    parser.add_argument("--tol", type=float, default=defaults.tol,
-                        help="relative log-likelihood convergence tolerance")
-    parser.add_argument("--max-iter", type=int, default=defaults.max_iter,
-                        help="maximum ECM iterations after initialization")
-    parser.add_argument("--short-runs", type=int, default=defaults.short_runs,
-                        help="number of random short starts (default %(default)s)")
-    parser.add_argument("--short-iters", type=int, default=defaults.short_iters,
-                        help="ECM iterations per short start (default %(default)s)")
-
-
 def _fit_config(args) -> FitConfig:
     return FitConfig(max_iter=args.max_iter, tol=args.tol,
                      short_runs=args.short_runs, short_iters=args.short_iters,
@@ -44,7 +30,7 @@ def _fit_config(args) -> FitConfig:
 
 def _load_data(args):
     panel = load_panel(args.data, delimiter=args.delimiter)
-    if getattr(args, "logit", False):
+    if args.logit:
         panel = logit_transform(panel)
     reports._report_labels(panel)  # fit and select write these labels to a report
     return panel
@@ -64,6 +50,13 @@ def _parse_structures(raw: str):
     return tuple(parse_structure(name) for name in raw.split(","))
 
 
+def _out_path(args, name: str) -> Path:
+    """The path of artifact ``name`` under ``--out-dir``, made if missing."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
 def _print_matrix(mat, indent: str = "  ") -> None:
     for row in np.atleast_2d(mat):
         print(indent + " ".join(f"{x: .4f}" for x in row))
@@ -73,9 +66,7 @@ def cmd_fit(args) -> int:
     panel = _load_data(args)
     pair = parse_structure(args.structure)
     report = fit(panel, pair, args.K, _fit_config(args))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"fit_{structure_name(pair)}_K{args.K}.txt"
+    out_path = _out_path(args, f"fit_{structure_name(pair)}_K{args.K}.txt")
     reports.save_fit_report(report, out_path)
 
     print(f"fitted {structure_name(pair)} with K={report.K} "
@@ -101,9 +92,7 @@ def cmd_select(args) -> int:
     grid = selection.ModelGrid(structures=_parse_structures(args.structures),
                                Ks=_parse_ks(args.Ks), config=config)
     report = selection.run_grid(panel, grid, workers=args.workers)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "selection.csv"
+    out_path = _out_path(args, "selection.csv")
     reports.save_selection_table(report, out_path)
 
     pair, K = report.best
@@ -114,7 +103,7 @@ def cmd_select(args) -> int:
         print(f"failed cell: {failure}")
     print(f"selection table written to {out_path}")
     best = report.best_report()
-    best_path = out_dir / "best_fit.txt"
+    best_path = _out_path(args, "best_fit.txt")
     reports.save_fit_report(best, best_path)
     print(f"winning fit written to {best_path}")
     return 0
@@ -130,13 +119,10 @@ def cmd_simulate(args) -> int:
     config = _fit_config(args)
     recovery = simulate.run_scenario(scenario, config, seed=args.seed,
                                      workers=args.workers)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    recovery_path = out_dir / "recovery.csv"
+    recovery_path = _out_path(args, "recovery.csv")
     reports.save_recovery_table([recovery], recovery_path)
-    timing_path = out_dir / "fit_timing.csv"
-    with open(timing_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(reports.fit_timing_table_lines(recovery)) + "\n")
+    timing_path = _out_path(args, "fit_timing.csv")
+    reports._write_lines(timing_path, reports.fit_timing_table_lines(recovery))
 
     print(f"scenario {scenario.label}: {recovery.replicates} replicates")
     for name, value in recovery.mse.items():
@@ -149,12 +135,10 @@ def cmd_simulate(args) -> int:
 def cmd_decode(args) -> int:
     report = reports.load_fit_report(args.report)
     state_lines, switch_lines = reports.decode_tables(report)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    states_path = out_dir / "states.csv"
-    switches_path = out_dir / "switches.csv"
-    states_path.write_text("\n".join(state_lines) + "\n", encoding="utf-8")
-    switches_path.write_text("\n".join(switch_lines) + "\n", encoding="utf-8")
+    states_path = _out_path(args, "states.csv")
+    switches_path = _out_path(args, "switches.csv")
+    reports._write_lines(states_path, state_lines)
+    reports._write_lines(switches_path, switch_lines)
     print(f"state table written to {states_path}")
     print(f"switch counts written to {switches_path}")
     return 0
@@ -167,9 +151,7 @@ def cmd_bench(args) -> int:
     config = _fit_config(args)
     rows = simulate.timing_run(scenarios, modes=modes, workers=args.workers,
                                seed=args.seed, config=config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "timing.csv"
+    out_path = _out_path(args, "timing.csv")
     reports.save_timing_table(rows, out_path)
     for row in rows:
         print(f"{row.scenario} [{row.mode}, workers={row.workers}]: "
@@ -184,53 +166,63 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parsimonious hidden Markov models for 4-way matrix panels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit one structure pair at one K")
-    p_fit.add_argument("--data", required=True, help="long-format panel file")
+    # options that several commands share, each declared once
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="long-format panel file")
+    data.add_argument("--logit", action="store_true",
+                      help="apply the logit transform before fitting")
+    data.add_argument("--delimiter", default=",", help="data file delimiter")
+    fitting = argparse.ArgumentParser(add_help=False)
+    defaults = FitConfig()
+    fitting.add_argument("--seed", type=int, default=defaults.seed,
+                         help="master random seed (default %(default)s)")
+    fitting.add_argument("--tol", type=float, default=defaults.tol,
+                         help="relative log-likelihood convergence tolerance")
+    fitting.add_argument("--max-iter", type=int, default=defaults.max_iter,
+                         help="maximum ECM iterations after initialization")
+    fitting.add_argument("--short-runs", type=int, default=defaults.short_runs,
+                         help="number of random short starts (default %(default)s)")
+    fitting.add_argument("--short-iters", type=int, default=defaults.short_iters,
+                         help="ECM iterations per short start (default %(default)s)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="output directory")
+
+    p_fit = sub.add_parser("fit", parents=[data, fitting, out],
+                           help="fit one structure pair at one K")
     p_fit.add_argument("--structure", required=True,
                        help='structure pair name, e.g. "VEV-EE"')
     p_fit.add_argument("--K", type=int, required=True, help="number of hidden states")
-    p_fit.add_argument("--logit", action="store_true",
-                       help="apply the logit transform before fitting")
-    p_fit.add_argument("--delimiter", default=",", help="data file delimiter")
-    p_fit.add_argument("--out-dir", default=".", help="output directory")
-    _add_fit_options(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_sel = sub.add_parser("select", help="grid search over structures and K by BIC")
-    p_sel.add_argument("--data", required=True)
+    p_sel = sub.add_parser("select", parents=[data, fitting, out],
+                           help="grid search over structures and K by BIC")
     p_sel.add_argument("--Ks", required=True,
                        help='state counts, e.g. "1-10" or "1,2,3"')
     p_sel.add_argument("--structures", default="all",
                        help='comma-separated pair names or "all" (98 models)')
     p_sel.add_argument("--workers", type=int, default=1, help="parallel workers")
-    p_sel.add_argument("--logit", action="store_true")
-    p_sel.add_argument("--delimiter", default=",")
-    p_sel.add_argument("--out-dir", default=".")
-    _add_fit_options(p_sel)
     p_sel.set_defaults(func=cmd_select)
 
-    p_sim = sub.add_parser("simulate", help="parameter-recovery study on a scenario")
+    p_sim = sub.add_parser("simulate", parents=[fitting, out],
+                           help="parameter-recovery study on a scenario")
     p_sim.add_argument("--scenario", required=True,
                        help="built-in scenario label or scenario file path")
     p_sim.add_argument("--replicates", type=int, default=None,
                        help="override the scenario's replicate count")
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out-dir", default=".")
-    _add_fit_options(p_sim)
+    p_sim.add_argument("--workers", type=int, default=1, help="parallel workers")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_dec = sub.add_parser("decode", help="export state labels from a fit report")
+    p_dec = sub.add_parser("decode", parents=[out],
+                           help="export state labels from a fit report")
     p_dec.add_argument("--report", required=True, help="fit report file")
-    p_dec.add_argument("--out-dir", default=".")
     p_dec.set_defaults(func=cmd_decode)
 
-    p_bench = sub.add_parser("bench", help="time full-family fits per scenario")
+    p_bench = sub.add_parser("bench", parents=[fitting, out],
+                             help="time full-family fits per scenario")
     p_bench.add_argument("--scenarios", required=True,
                          help="comma-separated built-in scenario labels")
-    p_bench.add_argument("--modes", default="sequential,parallel")
-    p_bench.add_argument("--workers", type=int, default=2)
-    p_bench.add_argument("--out-dir", default=".")
-    _add_fit_options(p_bench)
+    p_bench.add_argument("--modes", default="sequential,parallel", help="timing modes")
+    p_bench.add_argument("--workers", type=int, default=2, help="parallel-mode workers")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -32,6 +32,11 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _write_lines(path, lines) -> None:
+    """Write a table's lines, each ended by a newline."""
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _model_text(magic: str, head, pair, params: HmmParams, I: int, T: int,
                 middle, tail) -> str:
     """The layout fit reports and scenario files share: magic and version,
@@ -126,7 +131,7 @@ class _ModelReader:
         means, sigmas, psis = (np.array(stack) for stack in zip(*blocks))
         params = HmmParams(np.array(pi), Pi, means, sigmas, psis)
         try:
-            params.validate(atol=1e-9, det_tol=np.inf)
+            params.validate()
         except ValueError as exc:  # pi or Pi is not stochastic
             raise ValueError(f"{self.path}: {exc}") from None
         return params
@@ -249,7 +254,7 @@ def selection_table_lines(report: SelectionReport, include_timing: bool = True
 
 
 def save_selection_table(report: SelectionReport, path) -> None:
-    _write(path, "\n".join(selection_table_lines(report)) + "\n")
+    _write_lines(path, selection_table_lines(report))
 
 
 def recovery_table_lines(reports) -> list[str]:
@@ -262,7 +267,7 @@ def recovery_table_lines(reports) -> list[str]:
 
 
 def save_recovery_table(reports, path) -> None:
-    _write(path, "\n".join(recovery_table_lines(reports)) + "\n")
+    _write_lines(path, recovery_table_lines(reports))
 
 
 def fit_timing_table_lines(report: RecoveryReport) -> list[str]:
@@ -280,7 +285,7 @@ def timing_table_lines(rows) -> list[str]:
 
 
 def save_timing_table(rows, path) -> None:
-    _write(path, "\n".join(timing_table_lines(rows)) + "\n")
+    _write_lines(path, timing_table_lines(rows))
 
 
 def decode_tables(report: FitReport) -> tuple[list[str], list[str]]:

@@ -81,17 +81,13 @@ class SelectionReport:
 def cell_seed(master_seed: int, pair: tuple[str, str], K: int) -> int:
     """Deterministic per-cell seed independent of scheduling order."""
     key = (SIGMA_STRUCTURES.index(pair[0]), PSI_STRUCTURES.index(pair[1]), K)
-    seq = np.random.SeedSequence(master_seed, spawn_key=key)
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return ecm._derived_seed(master_seed, key)
 
 
 def _fit_cell(args) -> CellResult:
     panel, pair, K, config = args
     start = time.perf_counter()
     try:
-        if K > panel.I * panel.T:  # the message random_init would raise
-            raise FitError(f"cannot draw {K} distinct mean matrices from "
-                           f"{panel.I * panel.T} observations")
         report = ecm.fit(panel, pair, K, config)
     except FitError as exc:  # a failed fit never takes the grid down; a bug does
         return CellResult(pair, K, "failed", np.nan, n_free_params(pair, K, panel.P, panel.R),
@@ -100,11 +96,15 @@ def _fit_cell(args) -> CellResult:
                       time.perf_counter() - start, report=report)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def _map(fn, tasks, workers: int) -> list:
     """``fn`` applied to every task, results in task order: in-process for
     one worker, otherwise on a pool of ``workers`` processes."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_workers(workers)
     if workers == 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

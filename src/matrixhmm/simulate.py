@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import selection
-from .ecm import DEFAULT_SEED, FitConfig, FitReport, HmmParams, fit
+from .ecm import DEFAULT_SEED, FitConfig, FitReport, HmmParams, _derived_seed, fit
 from .matnorm import _cholesky
 from .panel import MatrixPanel, _check_labels
 
@@ -39,7 +39,7 @@ class Scenario:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         _check_labels((self.label,), ",", "label")  # a field of the comma-separated tables
-        self.truth.validate(atol=1e-9, det_tol=np.inf)
+        self.truth.validate()
 
     @property
     def K(self) -> int:
@@ -68,9 +68,9 @@ class TimingRow:
     seconds: float
 
 
-def _scenario_rng(scenario: Scenario, replicate: int, seed: int) -> np.random.Generator:
-    key = (zlib.crc32(scenario.label.encode("utf-8")), int(replicate))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+def _replicate_key(scenario: Scenario, replicate: int) -> tuple[int, int]:
+    """The spawn key of one replicate's panel; its fit seed appends a 1."""
+    return zlib.crc32(scenario.label.encode("utf-8")), int(replicate)
 
 
 def generate(scenario: Scenario, replicate: int, seed: int = DEFAULT_SEED
@@ -81,7 +81,8 @@ def generate(scenario: Scenario, replicate: int, seed: int = DEFAULT_SEED
     from the initial law, walks the transition matrix, and emits one
     matrix-normal draw per time point from its current state.
     """
-    rng = _scenario_rng(scenario, replicate, seed)
+    key = _replicate_key(scenario, replicate)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
     truth = scenario.truth
     K, P, R = truth.K, truth.P, truth.R
     I, T = scenario.I, scenario.T
@@ -239,15 +240,10 @@ def run_scenario(scenario: Scenario, config: FitConfig | None = None,
     return recovery_mse(selection._map(_fit_replicate, tasks, workers), scenario)
 
 
-def _replicate_seed(seed: int, scenario: Scenario, replicate: int) -> int:
-    key = (zlib.crc32(scenario.label.encode("utf-8")), replicate, 1)
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
-
-
 def _fit_replicate(args) -> FitReport:
     scenario, rep, seed, config = args
     panel, _ = generate(scenario, rep, seed)
-    rep_config = replace(config, seed=_replicate_seed(seed, scenario, rep))
+    rep_config = replace(config, seed=_derived_seed(seed, (*_replicate_key(scenario, rep), 1)))
     return fit(panel, scenario.structure, scenario.K, rep_config)
 
 
@@ -262,11 +258,10 @@ def timing_run(scenarios, modes=("sequential", "parallel"), workers: int = 2,
     """
     config = config or FitConfig()
     rows = []
-    if isinstance(modes, str):
-        modes = (modes,)
     for mode in modes:
         if mode not in ("sequential", "parallel"):
             raise ValueError(f"unknown timing mode {mode!r}")
+    selection._check_workers(workers)
     for scenario in scenarios:
         panel, _ = generate(scenario, 0, seed)
         grid = selection.ModelGrid(Ks=(scenario.K,), config=config)

@@ -228,3 +228,35 @@ def check_posteriors(post, z_tol=1e-10, marg_tol=1e-8):
         assert pair_err < z_tol, f"pairwise mass off by {pair_err:.2e}"
         marg_err = np.max(np.abs(post.zz[:, 1:].sum(axis=2) - post.z[:, 1:]))
         assert marg_err < marg_tol, f"marginal consistency off by {marg_err:.2e}"
+
+
+def affine_map(tag, Q, rng, kind):
+    """A Q x Q map that structure ``tag`` (a row or a column tag) is closed
+    under.  ``kind="scalar"`` is a positive multiple of the identity, by
+    0.01 to 0.1, so that the panel's scale moves by orders of magnitude;
+    ``kind="widest"`` has |det| = 1 and comes from the widest class of the
+    tag: a signed permutation when the tag holds an ``I``, any invertible map
+    for EEE, VEE, EVV, VVV, EE and VV, an orthogonal map otherwise.  Every
+    map of a class is a positive scalar times one of these."""
+    if kind == "scalar":
+        return 10.0 ** rng.uniform(-2.0, -1.0) * np.eye(Q)
+    if "I" in tag:
+        return np.eye(Q)[rng.permutation(Q)] * rng.choice([-1.0, 1.0], Q)
+    U, _ = np.linalg.qr(rng.normal(size=(Q, Q)))
+    if tag not in ("EEE", "VEE", "EVV", "VVV", "EE", "VV"):
+        return U
+    V, _ = np.linalg.qr(rng.normal(size=(Q, Q)))
+    stretch = rng.uniform(0.5, 2.0, Q)
+    return U @ np.diag(stretch / np.exp(np.mean(np.log(stretch)))) @ V
+
+
+def affine_image(X, params, A, B):
+    """The (I, T, P, R) stack ``X`` and the model ``params`` under
+    X -> A X B': means A M B', Sigma_k -> d A Sigma_k A' and
+    Psi_k -> B Psi_k B' / d with d = |det B|^(2/R), which keeps
+    det Psi_k = 1; pi and Pi are unchanged.  The model's Kronecker
+    covariance Psi_k (x) Sigma_k maps to (B (x) A)(Psi_k (x) Sigma_k)(B (x) A)'."""
+    d = abs(np.linalg.det(B)) ** (2.0 / B.shape[0])
+    image = mh.HmmParams(params.pi, params.Pi, A @ params.means @ B.T,
+                         d * (A @ params.sigmas @ A.T), B @ params.psis @ B.T / d)
+    return A @ X @ B.T, image

@@ -91,6 +91,17 @@ def test_fit_negative_max_iter_usage_error(two_state_csv, tmp_path, capsys):
     assert not list(tmp_path.glob("fit_*.txt"))
 
 
+def test_fit_more_states_than_observations_is_a_failed_fit(tmp_path, capsys):
+    data = tmp_path / "panel.csv"
+    mh.save_panel(mh.MatrixPanel(np.random.default_rng(3).normal(size=(2, 2, 2, 2))), data)
+    out = tmp_path / "out"
+    code = main(["fit", "--data", str(data), "--structure", "EII-II", "--K", "5",
+                 "--out-dir", str(out)])
+    assert code == 1
+    assert "cannot draw 5 distinct mean matrices from 4 observations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_option_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["fit", "--data", "panel.csv",
                                       "--structure", "EII-II", "--K", "2"])
@@ -352,3 +363,12 @@ def test_readme_command_lines_parse_and_cover_every_subcommand():
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert used == set(commands)
+
+
+def test_every_option_of_every_command_has_help_text():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    missing = [f"{name} {action.option_strings[-1]}"
+               for name, sub in commands.items() for action in sub._actions
+               if action.option_strings and not (action.help or "").strip()]
+    assert missing == []

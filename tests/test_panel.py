@@ -97,6 +97,31 @@ def test_load_bad_header(tmp_path):
         load_panel(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("unit,time,row_level,col_level,value\n1,1,1,1\n", "line 2: expected 5 fields, got 4"),
+    ("", "panel file is empty"),
+    ("\n\n", "panel file is empty"),
+    ("unit,time,row_level,col_level,value\n", "panel file has no data rows"),
+])
+def test_load_rejects_a_short_row_and_a_file_without_data(tmp_path, text, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_panel(path)
+    assert str(info.value) == message
+
+
+def test_load_skips_blank_lines(tmp_path):
+    rows = full_rows()
+    path = tmp_path / "panel.csv"
+    write_panel_file(path, rows)
+    plain = load_panel(path)
+    write_panel_file(path, rows[:5] + ["", "   "] + rows[5:])
+    spaced = load_panel(path)
+    assert spaced.dims == plain.dims
+    assert np.array_equal(spaced.values, plain.values)
+
+
 def test_roundtrip_save_load(tmp_path):
     rng = np.random.default_rng(11)
     panel = MatrixPanel(rng.normal(size=(3, 2, 4, 5)))

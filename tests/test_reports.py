@@ -113,6 +113,36 @@ def test_fit_report_names_the_file_and_key_of_a_malformed_model_block(tmp_path, 
         reports.load_fit_report(path)
 
 
+def edited_report_text(old: str, new: str) -> str:
+    """A fitted report's text with its first line ``old`` replaced by ``new``
+    (``new`` may hold several lines), or with ``new`` appended when ``old``
+    is empty."""
+    lines = reports.fit_report_text(fitted_report()).splitlines()
+    if old:
+        lines[lines.index(old)] = new
+    else:
+        lines.append(new)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("version: 1", "version: 2",
+     "version is not 1: this fit report version is not supported"),
+    ("K: 2", "P: 2\nK: 2", "K is missing: found 'P: 2' in its place"),
+    ("K: 2", "K: 0", "K is 0, not >= 1"),
+    ("state: 1", "state: 2", "state is '2', expected 1"),
+    ("converged: true", "converged: maybe", "converged is not true or false: 'maybe'"),
+    ("", "colour: blue", "unexpected line 'colour: blue'"),
+])
+def test_fit_report_reader_names_each_misplaced_or_invalid_entry(tmp_path, old, new,
+                                                                problem):
+    path = tmp_path / "fit.txt"
+    path.write_text(edited_report_text(old, new), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reports.load_fit_report(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
 @pytest.mark.parametrize("key", ["iterations", "log_lik", "n_params", "bic"])
 def test_fit_report_rejects_a_value_its_other_entries_contradict(tmp_path, key):
     path = tmp_path / "fit.txt"

@@ -242,6 +242,8 @@ def test_timing_run_checks_every_mode_before_fitting(monkeypatch):
     scen = mh.get_scenario("EII-II/K2/T5/overlap2")
     with pytest.raises(ValueError, match="^unknown timing mode 'warp'$"):
         mh.timing_run([scen], modes=("sequential", "warp"))
+    with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        mh.timing_run([scen], modes=("sequential", "parallel"), workers=0)
 
 
 def test_import_leaves_scipy_unloaded():
