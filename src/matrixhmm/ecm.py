@@ -18,11 +18,22 @@ matrix by batched products.  Each run gets per-run views of the block's
 arrays and the same arithmetic as alone, so its numbers do not depend on
 the block it ran in.  The short starts run in blocks whose residual stack
 stays under ``_BLOCK_ELEMENTS``; the long run is a block of one.
+
+The blocks of a wide fit run on threads, one per usable CPU (see
+:func:`_start_threads`): numpy's products release the GIL, and at such a
+shape they are most of a start's work.  Each block returns only its best
+run and its failure messages, and the fit takes them in start order, so
+no result depends on the thread count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -30,7 +41,7 @@ import numpy as np
 
 from .errors import (DecompositionError, FitError, FitFailureError,
                      NumericalError, StateCollapseError)
-from .matnorm import MatNormParams, _factors, _log_density_states
+from .matnorm import _BLOCK_ELEMENTS, MatNormParams, _factors, _log_density_states
 from .panel import MatrixPanel
 from .structures import (Scatter, SpectralParts, count_psi_params,
                          count_sigma_params, derive_parts, parse_structure,
@@ -38,11 +49,18 @@ from .structures import (Scatter, SpectralParts, count_psi_params,
 
 DEFAULT_SEED = 12345
 _COLLAPSE_FRACTION = 1e-6
-# Short starts per block: as many as keep the block's (H K, I T, P, R)
-# residual stack within this many elements (512 kB), and at least one.  At
-# 2 x 2 matrices, I = 100 and T = 10 that is 8 starts, which fitted as fast
-# as blocks of 16 or 32, with half or a quarter of the block's memory.
-_BLOCK_ELEMENTS = 1 << 16
+# The blocks of short starts run on threads only when one start's
+# (K, I T, P, R) residual stack holds at least this many elements; below it
+# the CM steps' Python work holds the GIL and threads gain little or lose.  On 2 cores with one
+# BLAS thread, the short phases of 5 default fits (threaded over one
+# thread) took 1.07-1.46 of the time at 32,000-36,000 elements and
+# 0.59-0.95 from 64,000 on.  Medians of 9 full default fits of VVV-VV and
+# VVE-VE: 0.90 and 0.87 at 10 x 8, K = 4, I T = 800 (256,000 elements),
+# 0.76 and 0.75 at 3 x 3, K = 4, I T = 7200 (259,200), just below; 0.70
+# and 1.09 at I T = 840 (268,800) and 0.81 and 0.89 at I T = 7400
+# (266,400), just above, where the long run (one thread) is most of a
+# VVE-VE fit.  2^18 leaves a margin over the mixed range.
+_THREAD_ELEMENTS = 1 << 18
 _STEP_ERRORS = (NumericalError, DecompositionError, StateCollapseError)
 
 
@@ -147,7 +165,10 @@ class FitConfig:
     iteration, then once per iteration of the long run.  The short starts
     run in blocks in lockstep, so with ``short_iters > 1`` the hook sees a
     block's starts iteration by iteration: every live start's iteration 1,
-    then every live start's iteration 2, and so on.
+    then every live start's iteration 2, and so on.  Blocks come in start
+    order: a fit with a hook runs them one after another on the calling
+    thread, where one without may run a wide fit's blocks on threads.
+    No field changes the result for any thread count.
     """
 
     max_iter: int = 500
@@ -641,6 +662,46 @@ def expected_complete_loglik(panel: MatrixPanel, post: Posteriors,
     return term1 + term2 + term3
 
 
+def _start_threads(elements: int, config: FitConfig, blocks: int) -> int:
+    """Threads for a fit's blocks of short starts, each start's residual
+    stack holding ``elements``: the usable CPUs, at most one per block,
+    when that stack holds at least ``_THREAD_ELEMENTS``, no ``iter_hook``
+    is set (its calls come block by block) and the fit runs on the main
+    thread of a process that is not a pool worker; else one."""
+    if (elements < _THREAD_ELEMENTS or config.iter_hook is not None
+            or threading.current_thread() is not threading.main_thread()
+            or multiprocessing.parent_process() is not None):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _short_block(panel: MatrixPanel, pair: tuple[str, str], K: int, config: FitConfig,
+                 first: int, children: list) -> tuple[_Run | None, list[str]]:
+    """The short runs of one block of starts, numbered from ``first``, each
+    from a random start drawn with its child seed: the block's best run (the
+    first with the highest log-likelihood), or None, and a message for each
+    failed start, in start order."""
+    P, R, _, _ = panel.dims
+    block = [_Run(random_init(panel, K, np.random.default_rng(child)),
+                  SpectralParts.identity(K, P), SpectralParts.identity(K, R))
+             for child in children]
+    opened, fwds = _each_run(_forward_runs, block, None, panel.unit_time_stack())
+    for run, fwd in zip(opened, fwds):
+        run.fwd = fwd
+    _run_ecm(panel, opened, pair, config, config.short_iters)
+    best, failures = None, []
+    for h, run in enumerate(block, first):
+        if run.error is not None:
+            failures.append(f"start {h}: {run.error}")
+        elif best is None or run.fwd.log_lik > best.fwd.log_lik:
+            best = run
+    return best, failures
+
+
 def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) -> FitReport:
     """Fit one parsimonious hidden Markov model to a panel.
 
@@ -653,8 +714,10 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     backward pass; the winner (the first start with the highest) continues
     from that forward pass, and one backward pass on the long run's last
     forward pass gives the reported posteriors.  The starts run in blocks in
-    lockstep (see :func:`_run_ecm`); each start's numbers are those it
-    would reach alone.
+    lockstep (see :func:`_run_ecm`), on threads for a wide fit (see
+    :func:`_start_threads`); each start's numbers are those it would reach
+    alone.  An exception that is not a failed start stops the fit once the
+    running blocks end, and drops the blocks not yet started.
 
     Raises :class:`FitFailureError` when every start fails numerically, and
     :class:`FitError` when K exceeds the I * T observations.
@@ -665,25 +728,26 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     if K < 1:
         raise ValueError("K must be >= 1")
     start = time.perf_counter()
-    X = panel.unit_time_stack()
     P, R, I, T = panel.dims
 
     children = np.random.SeedSequence(config.seed).spawn(config.short_runs)
     block_size = max(1, _BLOCK_ELEMENTS // (K * I * T * P * R))
+    firsts = range(0, config.short_runs, block_size)
+    threads = _start_threads(K * I * T * P * R, config, len(firsts))
+
+    def short_block(first: int) -> tuple[_Run | None, list[str]]:
+        return _short_block(panel, pair, K, config, first + 1,
+                            children[first:first + block_size])
+
     best: _Run | None = None
     diagnostics = []
-    for first in range(0, config.short_runs, block_size):
-        block = [_Run(random_init(panel, K, np.random.default_rng(child)),
-                      SpectralParts.identity(K, P), SpectralParts.identity(K, R))
-                 for child in children[first:first + block_size]]
-        opened, fwds = _each_run(_forward_runs, block, None, X)
-        for run, fwd in zip(opened, fwds):
-            run.fwd = fwd
-        _run_ecm(panel, opened, pair, config, config.short_iters)
-        for h, run in enumerate(block, first + 1):
-            if run.error is not None:
-                diagnostics.append(f"start {h}: {run.error}")
-            elif best is None or run.fwd.log_lik > best.fwd.log_lik:
+    # blocks in start order, so a strict > keeps the first best start; when
+    # a block raises, the pool's map drops the blocks not yet started and
+    # the pool joins its threads before the error leaves
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for run, failures in (pool.map if pool else map)(short_block, firsts):
+            diagnostics += failures
+            if run is not None and (best is None or run.fwd.log_lik > best.fwd.log_lik):
                 best = run
     if best is None:
         raise FitFailureError(

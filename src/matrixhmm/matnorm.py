@@ -32,6 +32,13 @@ from .errors import DecompositionError
 
 LOG_2PI = np.log(2.0 * np.pi)
 _SYM_TOL = 1e-12
+# Elements of one residual stack: the density kernel whitens as many
+# observations at a time as keep its (K, n, P, R) residuals within this
+# many (512 kB), and ``ecm`` sizes its blocks of short starts by it too.
+# At 2 x 2 matrices, I = 100 and T = 10 a block holds 8 starts, which
+# fitted as fast as blocks of 16 or 32, with half or a quarter of the
+# block's memory.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,25 +113,31 @@ def _log_density_states(Xs: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
     ``Xs`` is (..., P, R) and ``means``, ``sigmas``, ``psis`` are (K, P, R),
     (K, P, P), (K, R, R) stacks; the result has shape (..., K).  A
     covariance stack that is exactly the identity in every state is neither
-    factored nor multiplied by (see :func:`_factors`).
+    factored nor multiplied by (see :func:`_factors`).  The observations
+    are whitened in chunks whose (K, n, P, R) residual stack stays within
+    ``_BLOCK_ELEMENTS``; each observation's value is the same in any chunk.
     """
     K, P, R = means.shape
     lead = Xs.shape[:-2]
     LS_inv, logdet_S = _factors(sigmas, "row covariance Sigma")
     LP_inv, logdet_P = _factors(psis, "column covariance Psi")
-    Xc = Xs.reshape(-1, P, R)[None] - means[:, None]    # (K, N, P, R)
-    N = Xc.shape[1]
-    # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2; the right factor
-    # acts on all N P rows of a state at once, the left one per matrix and
-    # into the residual buffer: a third (K, N, P, R) array per call made
-    # wide fits about a quarter slower and raised their peak memory
-    white = Xc
-    if LP_inv is not None:
-        white = (Xc.reshape(K, N * P, R) @ np.swapaxes(LP_inv, 1, 2)).reshape(K, N, P, R)
-    if LS_inv is not None:
-        # without a right product the left one reads the residual buffer
-        white = np.matmul(LS_inv[:, None], white, out=None if white is Xc else Xc)
-    quad = np.einsum("knpr,knpr->kn", white, white)
+    X = Xs.reshape(-1, P, R)
+    N = X.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // (K * P * R))
+    quad = np.empty((K, N))
+    for lo in range(0, N, step):
+        Xc = X[None, lo:lo + step] - means[:, None]    # (K, n, P, R)
+        n = Xc.shape[1]
+        # tr[S^-1 Xc P^-1 Xc'] == || LS^-1 Xc LP^-T ||_F^2; the right factor
+        # acts on all n P rows of a state at once, the left one per matrix
+        # and into the residual buffer, so a chunk holds two residual stacks
+        white = Xc
+        if LP_inv is not None:
+            white = (Xc.reshape(K, n * P, R) @ np.swapaxes(LP_inv, 1, 2)).reshape(K, n, P, R)
+        if LS_inv is not None:
+            # without a right product the left one reads the residual buffer
+            white = np.matmul(LS_inv[:, None], white, out=None if white is Xc else Xc)
+        np.einsum("knpr,knpr->kn", white, white, out=quad[:, lo:lo + n])
     log_dens = -0.5 * ((P * R * LOG_2PI + R * logdet_S + P * logdet_P)[:, None] + quad)
     return log_dens.T.reshape(lead + (K,))
 

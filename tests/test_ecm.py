@@ -1,4 +1,8 @@
+import multiprocessing
+import os
 import re
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -722,6 +726,34 @@ def _edge_panel():
     return mh.MatrixPanel(np.random.default_rng(32).normal(size=(2, 3, 4, 2)))
 
 
+def _threaded(monkeypatch):
+    """Run every fit's blocks on threads, whatever the shape, with two CPUs
+    usable; returns a list to which each block adds "main" or "worker", the
+    thread it ran on, and each pool the threads it may start."""
+    monkeypatch.setattr(ecm, "_THREAD_ELEMENTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+    short_block, pool = ecm._short_block, ecm.ThreadPoolExecutor
+
+    def recording_block(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        seen.append("main" if on_main else "worker")
+        return short_block(*args)
+
+    def recording_pool(threads):
+        seen.append(threads)
+        return pool(threads)
+
+    monkeypatch.setattr(ecm, "_short_block", recording_block)
+    monkeypatch.setattr(ecm, "ThreadPoolExecutor", recording_pool)
+    return seen
+
+
+def _on_two_threads(seen):
+    """Every block ran off this thread, in pools of two threads."""
+    return set(seen) == {"worker", 2}
+
+
 def test_fit_does_not_depend_on_the_block_size(monkeypatch):
     panel, _ = two_state_panel(np.random.default_rng(33), I=100, T=10, sep=2.0)
     cases = [(panel, pair, 2, mh.FitConfig(short_runs=40, short_iters=si, max_iter=50))
@@ -730,12 +762,16 @@ def test_fit_does_not_depend_on_the_block_size(monkeypatch):
     cases += [(_edge_panel(), pair, 7, mh.FitConfig(short_runs=6, short_iters=si, max_iter=20))
               for pair in mh.all_structure_pairs() for si in (1, 3)]
     # one start per block, the default (blocks of 8 on the first panel), and
-    # every start in one block
+    # every start in one block; then one start per block on two threads
     caps = (1, ecm._BLOCK_ELEMENTS, 1 << 62)
     outcomes = []
     for cap in caps:
         monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", cap)
         outcomes.append([_fit_outcome(*case) for case in cases])
+    monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", 1)
+    ran_on = _threaded(monkeypatch)
+    outcomes.append([_fit_outcome(*case) for case in cases])
+    assert _on_two_threads(ran_on)
     for case, (alone, *blocked) in zip(cases, zip(*outcomes)):
         for other in blocked:
             assert _same_outcome(alone, other), (mh.structure_name(case[1]), case[3])
@@ -745,17 +781,21 @@ def test_fit_does_not_depend_on_the_block_size(monkeypatch):
 
 def test_fit_lists_failed_starts_in_start_order(monkeypatch):
     # start 5 fails in iteration 2, the others in iteration 3: a block sees
-    # start 5 fail first
+    # start 5 fail first, and on threads start 5 may end before start 4
     config = mh.FitConfig(short_runs=6, short_iters=3, max_iter=20)
     with pytest.raises(mh.FitFailureError) as blocked:
         mh.fit(_edge_panel(), "EII-VV", 7, config)
     monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", 1)
     with pytest.raises(mh.FitFailureError) as alone:
         mh.fit(_edge_panel(), "EII-VV", 7, config)
+    ran_on = _threaded(monkeypatch)
+    with pytest.raises(mh.FitFailureError) as threaded:
+        mh.fit(_edge_panel(), "EII-VV", 7, config)
+    assert _on_two_threads(ran_on)
     diagnostics = blocked.value.diagnostics
     starts = [int(re.match(r"start (\d+): iteration \d+: ", d).group(1)) for d in diagnostics]
     assert starts == list(range(1, 7))
-    assert diagnostics == alone.value.diagnostics
+    assert diagnostics == alone.value.diagnostics == threaded.value.diagnostics
     assert "start 5: iteration 2: " in diagnostics[4]
 
 
@@ -766,12 +806,70 @@ def test_a_start_whose_first_pass_fails_names_no_iteration(monkeypatch):
     panel = mh.MatrixPanel(values)
     assert np.all(np.isfinite(panel.values))
     expected = tuple(f"start {h}: non-finite state log-density in E-step" for h in (1, 2, 3))
-    for cap in (ecm._BLOCK_ELEMENTS, 1):
+    for cap, threads in ((ecm._BLOCK_ELEMENTS, False), (1, False), (1, True)):
         monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", cap)
+        if threads:
+            ran_on = _threaded(monkeypatch)
         with pytest.raises(mh.FitFailureError) as excinfo:
             mh.fit(panel, "EII-II", 2, mh.FitConfig(short_runs=3))
         assert excinfo.value.iteration is None
         assert excinfo.value.diagnostics == expected
+    assert _on_two_threads(ran_on)
+
+
+def test_a_bug_in_a_threaded_start_stops_the_fit(monkeypatch):
+    panel, _ = two_state_panel(np.random.default_rng(35), I=30, T=4)
+    monkeypatch.setattr(ecm, "_BLOCK_ELEMENTS", 1)
+    ran_on = _threaded(monkeypatch)
+    calls = []
+    original = ecm.cm_step1
+
+    def breaks_on_the_third_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("a bug, not a failed start")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ecm, "cm_step1", breaks_on_the_third_call)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="a bug, not a failed start"):
+        mh.fit(panel, "EII-II", 2, mh.FitConfig(short_runs=60))
+    # the blocks not yet started were dropped, and no thread outlives the fit
+    assert len(calls) < 60
+    assert threading.active_count() == before
+    assert _on_two_threads(ran_on)
+    monkeypatch.setattr(ecm, "cm_step1", original)
+    mh.fit(panel, "EII-II", 2, mh.FitConfig(short_runs=6))
+    assert threading.active_count() == before
+
+
+def test_start_threads_follow_the_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    wide, plain = ecm._THREAD_ELEMENTS, mh.FitConfig()
+    assert ecm._start_threads(wide, plain, 8) == 3
+    assert ecm._start_threads(wide, plain, 2) == 2
+    assert ecm._start_threads(wide, plain, 1) == 1
+    assert ecm._start_threads(wide - 1, plain, 8) == 1
+    hooked = mh.FitConfig(iter_hook=lambda *a: None)
+    assert ecm._start_threads(wide, hooked, 8) == 1
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(ecm._start_threads(wide, plain, 8)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and seen == [1]
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert ecm._start_threads(wide, plain, 8) == 1
+    monkeypatch.undo()
+    # a pool worker, as in run_grid(..., workers=2), runs one thread
+    with ProcessPoolExecutor(1) as pool:
+        assert pool.submit(ecm._start_threads, wide, plain, 8).result(timeout=60) == 1
+    # without an affinity call the CPU count is the limit
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert ecm._start_threads(wide, plain, 8) == 2
+    # a recovery or select start (K I T P R = 8,000) stays sequential, a
+    # fit-wide start (640,000) takes the threads
+    assert 2 * 100 * 10 * 2 * 2 < ecm._THREAD_ELEMENTS <= 4 * 100 * 20 * 10 * 8
 
 
 def test_a_state_collapse_in_the_long_run_names_its_iteration():
@@ -827,6 +925,16 @@ def test_fit_iter_hook_sees_every_iteration(monkeypatch):
         assert sorted(blocked) == sorted(alone)
         assert [it for it, _ in blocked[:2 * short_iters]] == \
             [it for it in range(1, short_iters + 1) for _ in range(2)]
+        # at a shape that would take threads a hooked fit runs its blocks
+        # on this thread, so the calls arrive in start order
+        with monkeypatch.context() as patched:
+            ran_on = _threaded(patched)
+            calls = []
+            config = mh.FitConfig(short_runs=2, short_iters=short_iters,
+                                  iter_hook=lambda it, params, ll: calls.append((it, ll)))
+            mh.fit(panel, "EII-II", 2, config)
+        assert set(ran_on) == {"main"}
+        assert calls == alone
 
 
 def test_fit_rejects_bad_arguments():

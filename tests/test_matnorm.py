@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -190,3 +192,45 @@ def test_log_density_stack_matches_scalar():
     stacked = log_density_stack(Xs, params.M, params.Sigma, params.Psi)
     assert stacked.shape == (4, 5)
     assert stacked[2, 3] == pytest.approx(log_density(Xs[2, 3], params), abs=1e-13)
+
+
+def _chunk_cases():
+    rng = np.random.default_rng(17)
+    wide = state_stacks(rng, 4, 10, 8)
+    yield "wide", rng.normal(scale=2.0, size=(2000, 10, 8)), wide
+    means, sigmas, psis = state_stacks(rng, 3, 3, 2)
+    Xs = rng.normal(scale=2.0, size=(7, 5, 3, 2))
+    yield "leading shape", Xs, (means, sigmas, psis)
+    yield "identity Sigma", Xs, (means, np.tile(np.eye(3), (3, 1, 1)), psis)
+    yield "identity Psi", Xs, (means, sigmas, np.tile(np.eye(2), (3, 1, 1)))
+    yield "identity both", Xs, (means, np.tile(np.eye(3), (3, 1, 1)),
+                                np.tile(np.eye(2), (3, 1, 1)))
+
+
+def test_kernel_does_not_depend_on_the_chunk_size(monkeypatch):
+    # one observation per chunk, the default budget, and one chunk
+    budgets = (1, matnorm._BLOCK_ELEMENTS, 1 << 62)
+    for name, Xs, stacks in _chunk_cases():
+        results = []
+        for budget in budgets:
+            monkeypatch.setattr(matnorm, "_BLOCK_ELEMENTS", budget)
+            results.append(_log_density_states(Xs, *stacks))
+        assert results[0].shape == Xs.shape[:-2] + (len(stacks[0]),), name
+        for other in results[1:]:
+            assert np.array_equal(results[0], other), name
+
+
+def test_kernel_temporaries_stay_within_the_budget():
+    # at fit-wide shape, (K, N, P, R) = (4, 2000, 10, 8), one residual stack
+    # is 5.1 MB; the chunks keep every temporary within the budget
+    rng = np.random.default_rng(18)
+    means, sigmas, psis = state_stacks(rng, 4, 10, 8)
+    Xs = rng.normal(scale=2.0, size=(2000, 10, 8))
+    _log_density_states(Xs, means, sigmas, psis)  # first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        _log_density_states(Xs, means, sigmas, psis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * matnorm._BLOCK_ELEMENTS, peak
