@@ -21,16 +21,15 @@ stays under ``_BLOCK_ELEMENTS``; the long run is a block of one.
 
 The blocks of a wide fit run on threads, one per usable CPU (see
 :func:`_start_threads`): numpy's products release the GIL, and at such a
-shape they are most of a start's work.  Each block returns only its best
-run and its failure messages, and the fit takes them in start order, so
-no result depends on the thread count.
+shape they are most of a start's work.  Each block returns its runs, and
+the fit ranks them in start order, so no result depends on the thread
+count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -666,10 +665,9 @@ def _start_threads(elements: int, config: FitConfig, blocks: int) -> int:
     """Threads for a fit's blocks of short starts, each start's residual
     stack holding ``elements``: the usable CPUs, at most one per block,
     when that stack holds at least ``_THREAD_ELEMENTS``, no ``iter_hook``
-    is set (its calls come block by block) and the fit runs on the main
-    thread of a process that is not a pool worker; else one."""
+    is set (its calls come block by block) and the process is not a pool
+    worker; else one."""
     if (elements < _THREAD_ELEMENTS or config.iter_hook is not None
-            or threading.current_thread() is not threading.main_thread()
             or multiprocessing.parent_process() is not None):
         return 1
     try:
@@ -677,29 +675,6 @@ def _start_threads(elements: int, config: FitConfig, blocks: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, blocks)
-
-
-def _short_block(panel: MatrixPanel, pair: tuple[str, str], K: int, config: FitConfig,
-                 first: int, children: list) -> tuple[_Run | None, list[str]]:
-    """The short runs of one block of starts, numbered from ``first``, each
-    from a random start drawn with its child seed: the block's best run (the
-    first with the highest log-likelihood), or None, and a message for each
-    failed start, in start order."""
-    P, R, _, _ = panel.dims
-    block = [_Run(random_init(panel, K, np.random.default_rng(child)),
-                  SpectralParts.identity(K, P), SpectralParts.identity(K, R))
-             for child in children]
-    opened, fwds = _each_run(_forward_runs, block, None, panel.unit_time_stack())
-    for run, fwd in zip(opened, fwds):
-        run.fwd = fwd
-    _run_ecm(panel, opened, pair, config, config.short_iters)
-    best, failures = None, []
-    for h, run in enumerate(block, first):
-        if run.error is not None:
-            failures.append(f"start {h}: {run.error}")
-        elif best is None or run.fwd.log_lik > best.fwd.log_lik:
-            best = run
-    return best, failures
 
 
 def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) -> FitReport:
@@ -716,8 +691,9 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     forward pass gives the reported posteriors.  The starts run in blocks in
     lockstep (see :func:`_run_ecm`), on threads for a wide fit (see
     :func:`_start_threads`); each start's numbers are those it would reach
-    alone.  An exception that is not a failed start stops the fit once the
-    running blocks end, and drops the blocks not yet started.
+    alone, and the fit ranks the runs in start order.  An exception that is
+    not a failed start stops the fit once the running blocks end, and drops
+    the blocks not yet started.
 
     Raises :class:`FitFailureError` when every start fails numerically, and
     :class:`FitError` when K exceeds the I * T observations.
@@ -735,9 +711,17 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     firsts = range(0, config.short_runs, block_size)
     threads = _start_threads(K * I * T * P * R, config, len(firsts))
 
-    def short_block(first: int) -> tuple[_Run | None, list[str]]:
-        return _short_block(panel, pair, K, config, first + 1,
-                            children[first:first + block_size])
+    def short_block(first: int) -> list[_Run]:
+        """The short runs of the block of starts from ``first``, each from a
+        random start drawn with its child seed and opened by one forward pass."""
+        block = [_Run(random_init(panel, K, np.random.default_rng(child)),
+                      SpectralParts.identity(K, P), SpectralParts.identity(K, R))
+                 for child in children[first:first + block_size]]
+        opened, fwds = _each_run(_forward_runs, block, None, panel.unit_time_stack())
+        for run, fwd in zip(opened, fwds):
+            run.fwd = fwd
+        _run_ecm(panel, opened, pair, config, config.short_iters)
+        return block
 
     best: _Run | None = None
     diagnostics = []
@@ -745,10 +729,12 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     # a block raises, the pool's map drops the blocks not yet started and
     # the pool joins its threads before the error leaves
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for run, failures in (pool.map if pool else map)(short_block, firsts):
-            diagnostics += failures
-            if run is not None and (best is None or run.fwd.log_lik > best.fwd.log_lik):
-                best = run
+        for first, block in zip(firsts, (pool.map if pool else map)(short_block, firsts)):
+            for h, run in enumerate(block, first + 1):
+                if run.error is not None:
+                    diagnostics.append(f"start {h}: {run.error}")
+                elif best is None or run.fwd.log_lik > best.fwd.log_lik:
+                    best = run
     if best is None:
         raise FitFailureError(
             f"all {config.short_runs} initializations failed for "

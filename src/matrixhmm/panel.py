@@ -104,6 +104,11 @@ def _ordered_labels(raw) -> list[str]:
         return sorted(labels)
 
 
+def _labels_or_numbers(labels, n: int) -> tuple:
+    """``labels``, or "1" to ``n`` for unlabelled units or times."""
+    return labels or tuple(str(k) for k in range(1, n + 1))
+
+
 def _check_labels(labels, separator: str, name: str) -> None:
     """Reject labels that a file split on ``separator`` cannot give back.
 
@@ -195,8 +200,8 @@ def load_panel(path, delimiter: str = ",") -> MatrixPanel:
 def save_panel(panel: MatrixPanel, path, delimiter: str = ",") -> None:
     """Write a panel as a long-format delimited file (inverse of load)."""
     P, R, I, T = panel.dims
-    units = panel.unit_labels or tuple(str(i) for i in range(1, I + 1))
-    times = panel.time_labels or tuple(str(t) for t in range(1, T + 1))
+    units = _labels_or_numbers(panel.unit_labels, I)
+    times = _labels_or_numbers(panel.time_labels, T)
     _check_labels(units, delimiter, "unit_labels")
     _check_labels(times, delimiter, "time_labels")
     with open(path, "w", encoding="utf-8") as fh:

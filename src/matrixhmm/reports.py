@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ecm import FitReport, HmmParams, Posteriors
-from .panel import _check_labels
+from .panel import _check_labels, _labels_or_numbers
 from .selection import SelectionReport
 from .simulate import RecoveryReport, Scenario
 from .structures import parse_structure, structure_name
@@ -296,8 +296,8 @@ def decode_tables(report: FitReport) -> tuple[list[str], list[str]]:
     state at each time from the second onward.
     """
     P, R, I, T = report.panel_dims
-    units = report.unit_labels or tuple(str(i) for i in range(1, I + 1))
-    times = report.time_labels or tuple(str(t) for t in range(1, T + 1))
+    units = _labels_or_numbers(report.unit_labels, I)
+    times = _labels_or_numbers(report.time_labels, T)
     state_lines = ["unit,time,state"]
     for i in range(I):
         for t in range(T):

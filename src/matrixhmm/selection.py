@@ -96,15 +96,18 @@ def _fit_cell(args) -> CellResult:
                       time.perf_counter() - start, report=report)
 
 
-def _check_workers(workers: int) -> None:
+def _check_workers(workers: int, config: "ecm.FitConfig") -> None:
+    """Reject fewer than one worker, and a pool for fits with an ``iter_hook``."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > 1 and config.iter_hook is not None:
+        raise ValueError("iter_hook cannot cross process boundaries; use workers=1")
 
 
-def _map(fn, tasks, workers: int) -> list:
+def _map(fn, tasks, workers: int, config: "ecm.FitConfig") -> list:
     """``fn`` applied to every task, results in task order: in-process for
     one worker, otherwise on a pool of ``workers`` processes."""
-    _check_workers(workers)
+    _check_workers(workers, config)
     if workers == 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -123,15 +126,14 @@ def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> Selection
     """Fit every grid cell, in-process or on a process pool.
 
     Results are merged in grid order, so the report does not depend on the
-    worker count (wall-clock ``seconds`` aside).
+    worker count (wall-clock ``seconds`` aside).  A grid whose config has
+    an ``iter_hook`` needs ``workers=1``.
     """
-    if workers > 1 and grid.config.iter_hook is not None:
-        raise ValueError("iter_hook cannot cross process boundaries; use workers=1")
     tasks = []
     for pair, K in grid.cells():
         config = replace(grid.config, seed=cell_seed(grid.config.seed, pair, K))
         tasks.append((panel, pair, K, config))
-    cells = _map(_fit_cell, tasks, workers)
+    cells = _map(_fit_cell, tasks, workers, grid.config)
 
     ok = [c for c in cells if c.status == "ok"]
     failures = tuple(f"{structure_name(c.structure)} K={c.K}: {c.message}"

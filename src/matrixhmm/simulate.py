@@ -233,11 +233,12 @@ def run_scenario(scenario: Scenario, config: FitConfig | None = None,
                  seed: int = DEFAULT_SEED, workers: int = 1) -> RecoveryReport:
     """Generate, fit and score every replicate of one scenario.
 
-    Each replicate's fit seed comes from ``seed``, so ``config.seed`` is not read.
+    Each replicate's fit seed comes from ``seed``, so ``config.seed`` is not
+    read.  A config with an ``iter_hook`` needs ``workers=1``.
     """
     config = config or FitConfig()
     tasks = [(scenario, rep, seed, config) for rep in range(scenario.replicates)]
-    return recovery_mse(selection._map(_fit_replicate, tasks, workers), scenario)
+    return recovery_mse(selection._map(_fit_replicate, tasks, workers, config), scenario)
 
 
 def _fit_replicate(args) -> FitReport:
@@ -255,20 +256,22 @@ def timing_run(scenarios, modes=("sequential", "parallel"), workers: int = 2,
     One panel is generated per scenario (replicate 0); the clock runs
     around the grid call only.  ``sequential`` uses one in-process worker,
     ``parallel`` a pool of ``workers``; a single worker runs in-process too.
+    Every mode and its worker count are checked before anything runs, so a
+    config with an ``iter_hook`` needs ``workers=1`` for ``parallel``.
     """
     config = config or FitConfig()
     rows = []
+    mode_workers = {"sequential": 1, "parallel": workers}
     for mode in modes:
-        if mode not in ("sequential", "parallel"):
+        if mode not in mode_workers:
             raise ValueError(f"unknown timing mode {mode!r}")
-    selection._check_workers(workers)
+        selection._check_workers(mode_workers[mode], config)
     for scenario in scenarios:
         panel, _ = generate(scenario, 0, seed)
         grid = selection.ModelGrid(Ks=(scenario.K,), config=config)
         for mode in modes:
-            n_workers = 1 if mode == "sequential" else workers
             start = time.perf_counter()
-            selection.run_grid(panel, grid, workers=n_workers)
-            rows.append(TimingRow(scenario.label, mode, n_workers,
+            selection.run_grid(panel, grid, workers=mode_workers[mode])
+            rows.append(TimingRow(scenario.label, mode, mode_workers[mode],
                                   time.perf_counter() - start))
     return rows

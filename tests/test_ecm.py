@@ -728,23 +728,24 @@ def _edge_panel():
 
 def _threaded(monkeypatch):
     """Run every fit's blocks on threads, whatever the shape, with two CPUs
-    usable; returns a list to which each block adds "main" or "worker", the
-    thread it ran on, and each pool the threads it may start."""
+    usable; returns a list to which each start of a block adds "main" or
+    "worker", the thread it was drawn on, and each pool the threads it may
+    start."""
     monkeypatch.setattr(ecm, "_THREAD_ELEMENTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []
-    short_block, pool = ecm._short_block, ecm.ThreadPoolExecutor
+    draw, pool = ecm.random_init, ecm.ThreadPoolExecutor
 
-    def recording_block(*args):
+    def recording_draw(*args):
         on_main = threading.current_thread() is threading.main_thread()
         seen.append("main" if on_main else "worker")
-        return short_block(*args)
+        return draw(*args)
 
     def recording_pool(threads):
         seen.append(threads)
         return pool(threads)
 
-    monkeypatch.setattr(ecm, "_short_block", recording_block)
+    monkeypatch.setattr(ecm, "random_init", recording_draw)
     monkeypatch.setattr(ecm, "ThreadPoolExecutor", recording_pool)
     return seen
 
@@ -852,11 +853,6 @@ def test_start_threads_follow_the_rule(monkeypatch):
     assert ecm._start_threads(wide - 1, plain, 8) == 1
     hooked = mh.FitConfig(iter_hook=lambda *a: None)
     assert ecm._start_threads(wide, hooked, 8) == 1
-    seen = []
-    worker = threading.Thread(target=lambda: seen.append(ecm._start_threads(wide, plain, 8)))
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive() and seen == [1]
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     assert ecm._start_threads(wide, plain, 8) == 1
     monkeypatch.undo()

@@ -44,6 +44,19 @@ def test_the_package_import_graph_has_no_cycle():
         visit(module)
 
 
+def test_each_worker_pool_has_one_home():
+    # the process rule lives in selection, the thread rule in ecm
+    homes = {"ProcessPoolExecutor": "selection", "ThreadPoolExecutor": "ecm"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            for name in names:
+                assert homes.get(name, path.stem) == path.stem, \
+                    f"{path.name}:{node.lineno} names {name}"
+
+
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name)
 def test_demo_runs(script, tmp_path):

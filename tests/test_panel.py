@@ -130,6 +130,9 @@ def test_roundtrip_save_load(tmp_path):
     back = load_panel(path)
     assert back.dims == panel.dims
     assert np.array_equal(back.values, panel.values)
+    # unlabelled units and times are written numbered from 1
+    assert back.unit_labels == ("1", "2", "3", "4")
+    assert back.time_labels == ("1", "2", "3", "4", "5")
 
 
 def test_load_orders_numeric_labels(tmp_path):

@@ -218,28 +218,31 @@ def test_selection_table_layout():
 
 
 def test_decode_tables_switch_counts_match_recount():
-    report = fitted_report()
-    state_lines, switch_lines = reports.decode_tables(report)
-    P, R, I, T = report.panel_dims
-    assert len(state_lines) == 1 + I * T
-    assert state_lines[0] == "unit,time,state"
-    # recount oracle straight from the label table
-    labels = {}
-    for line in state_lines[1:]:
-        unit, time, state = line.split(",")
-        labels[(unit, time)] = int(state)
-    times = report.time_labels
-    units = report.unit_labels
-    for line, t in zip(switch_lines[1:], range(1, T)):
-        time_lab, count = line.split(",")
-        assert time_lab == times[t]
-        expected = sum(labels[(u, times[t])] != labels[(u, times[t - 1])]
-                       for u in units)
-        assert int(count) == expected
-    # pass-through: table agrees with the decoded matrix
-    for i, u in enumerate(units):
-        for t, tl in enumerate(times):
-            assert labels[(u, tl)] == report.decoded[i, t]
+    labelled = fitted_report()
+    I, T = labelled.panel_dims[2:]
+    # unlabelled units and times are numbered from 1
+    numbered = (tuple(str(i) for i in range(1, I + 1)), tuple(str(t) for t in range(1, T + 1)))
+    for report, (units, times) in (
+            (labelled, (labelled.unit_labels, labelled.time_labels)),
+            (replace(labelled, unit_labels=None, time_labels=None), numbered)):
+        state_lines, switch_lines = reports.decode_tables(report)
+        assert len(state_lines) == 1 + I * T
+        assert state_lines[0] == "unit,time,state"
+        # recount oracle straight from the label table
+        labels = {}
+        for line in state_lines[1:]:
+            unit, time, state = line.split(",")
+            labels[(unit, time)] = int(state)
+        for line, t in zip(switch_lines[1:], range(1, T)):
+            time_lab, count = line.split(",")
+            assert time_lab == times[t]
+            expected = sum(labels[(u, times[t])] != labels[(u, times[t - 1])]
+                           for u in units)
+            assert int(count) == expected
+        # pass-through: table agrees with the decoded matrix
+        for i, u in enumerate(units):
+            for t, tl in enumerate(times):
+                assert labels[(u, tl)] == report.decoded[i, t]
 
 
 def test_recovery_and_timing_tables():

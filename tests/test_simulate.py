@@ -213,6 +213,18 @@ def test_run_scenario_rejects_a_worker_count_below_one(workers):
         mh.run_scenario(scen, mh.FitConfig(short_runs=1), workers=workers)
 
 
+def test_run_scenario_refuses_a_hook_before_starting_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr("matrixhmm.selection.ProcessPoolExecutor", no_pool)
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2", replicates=2)
+    hooked = mh.FitConfig(short_runs=1, iter_hook=lambda *a: None)
+    with pytest.raises(ValueError, match="^iter_hook cannot cross process boundaries; "
+                                         "use workers=1$"):
+        mh.run_scenario(scen, hooked, workers=2)
+
+
 def test_timing_run_shape_and_overhead_bound():
     truth = mh.HmmParams(np.array([1.0]), np.array([[1.0]]),
                          np.zeros((1, 1, 2)), np.eye(1)[None], np.eye(2)[None])
@@ -244,6 +256,10 @@ def test_timing_run_checks_every_mode_before_fitting(monkeypatch):
         mh.timing_run([scen], modes=("sequential", "warp"))
     with pytest.raises(ValueError, match="^workers must be >= 1$"):
         mh.timing_run([scen], modes=("sequential", "parallel"), workers=0)
+    hooked = mh.FitConfig(iter_hook=lambda *a: None)
+    with pytest.raises(ValueError, match="^iter_hook cannot cross process boundaries; "
+                                         "use workers=1$"):
+        mh.timing_run([scen], modes=("sequential", "parallel"), workers=2, config=hooked)
 
 
 def test_import_leaves_scipy_unloaded():
