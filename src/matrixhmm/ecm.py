@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (DecompositionError, FitError, FitFailureError,
                      NumericalError, StateCollapseError)
-from .matnorm import _BLOCK_ELEMENTS, MatNormParams, _factors, _log_density_states
+from .matnorm import _BLOCK_ELEMENTS, MatNormParams, _cholesky, _factors, _log_density_states
 from .panel import MatrixPanel
 from .structures import (Scatter, SpectralParts, count_psi_params,
                          count_sigma_params, derive_parts, parse_structure,
@@ -134,12 +134,23 @@ class HmmParams:
         return MatNormParams(self.means[k], self.sigmas[k], self.psis[k])
 
     def validate(self) -> None:
-        """Raise ``ValueError`` unless pi and every row of Pi are probability
-        vectors to within 1e-9."""
+        """Raise ``ValueError`` unless every entry is finite, pi and every row
+        of Pi are probability vectors to within 1e-9, and every Sigma and Psi
+        is symmetric (to :class:`MatNormParams`' tolerance) and positive definite."""
+        for name in ("pi", "Pi", "means", "sigmas", "psis"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has an entry that is not finite")
         if np.any(self.pi < -1e-9) or abs(self.pi.sum() - 1.0) > 1e-9:
             raise ValueError("pi is not a probability vector")
         if np.any(self.Pi < -1e-9) or np.max(np.abs(self.Pi.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("Pi rows must sum to one")
+        for k in range(self.K):
+            try:
+                self.state(k)  # checks that Sigma and Psi are symmetric
+                _cholesky(self.sigmas[k:k + 1], "Sigma")
+                _cholesky(self.psis[k:k + 1], "Psi")
+            except ValueError as exc:  # a DecompositionError is one too
+                raise ValueError(f"{exc} in state {k + 1}") from None
 
 
 @dataclass(frozen=True)
@@ -188,7 +199,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Converged parameters plus everything needed to audit the fit."""
+    """Converged parameters plus everything needed to audit the fit; the
+    properties below derive the rest from these fields."""
 
     structure: tuple[str, str]
     params: HmmParams
@@ -198,7 +210,6 @@ class FitReport:
     converged: bool
     wall_time: float
     panel_dims: tuple[int, int, int, int]
-    warnings: tuple[str, ...] = ()
     unit_labels: tuple | None = None
     time_labels: tuple | None = None
 
@@ -221,6 +232,16 @@ class FitReport:
     @property
     def bic(self) -> float:
         return bic(self.log_lik, self.n_params, self.panel_dims[2] * self.panel_dims[3])
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """An overparameterized warning when K * n_params exceeds the P R I T
+        observed values, else none."""
+        values = int(np.prod(self.panel_dims))
+        if self.K * self.n_params <= values:
+            return ()
+        return (f"overparameterized: K * n_params = {self.K * self.n_params} exceeds the "
+                f"{values} observed values",)
 
 
 class CmStep1Result(NamedTuple):
@@ -748,27 +769,9 @@ def fit(panel: MatrixPanel, structure, K: int, config: FitConfig | None = None) 
     [post] = posts
 
     order = _canonical_order(state.params.means)
-    params = _permute_params(state.params, order)
     post = _permute_posteriors(post, order)
-    decoded = decode(post)
-
-    n_params = n_free_params(pair, K, P, R)
-    warnings = []
-    if K * n_params > I * T * P * R:
-        warnings.append(
-            f"overparameterized: K * n_params = {K * n_params} exceeds the "
-            f"{I * T * P * R} observed values")
-    wall = time.perf_counter() - start
-    return FitReport(
-        structure=pair,
-        params=params,
-        posteriors=post,
-        log_lik_trace=np.asarray(state.trace),
-        decoded=decoded,
-        converged=state.converged,
-        wall_time=wall,
-        panel_dims=(P, R, I, T),
-        warnings=tuple(warnings),
-        unit_labels=panel.unit_labels,
-        time_labels=panel.time_labels,
-    )
+    return FitReport(structure=pair, params=_permute_params(state.params, order),
+                     posteriors=post, log_lik_trace=np.asarray(state.trace),
+                     decoded=decode(post), converged=state.converged,
+                     wall_time=time.perf_counter() - start, panel_dims=(P, R, I, T),
+                     unit_labels=panel.unit_labels, time_labels=panel.time_labels)

@@ -132,7 +132,7 @@ class _ModelReader:
         params = HmmParams(np.array(pi), Pi, means, sigmas, psis)
         try:
             params.validate()
-        except ValueError as exc:  # pi or Pi is not stochastic
+        except ValueError as exc:  # not stochastic, or a covariance not symmetric PD
             raise ValueError(f"{self.path}: {exc}") from None
         return params
 
@@ -200,10 +200,9 @@ def load_fit_report(path) -> FitReport:
             raise reader.error(key, f"has {len(labels[key])} entries, expected {expected}")
     empty = Posteriors(np.zeros((0, 0, K)), np.zeros((0, 0, K, K)), float(trace[-1]))
     report = FitReport(pair, params, empty, trace, decoded, converged == "true",
-                       wall_time, (P, R, I, T), warnings, labels["unit_labels"],
-                       labels["time_labels"])
+                       wall_time, (P, R, I, T), labels["unit_labels"], labels["time_labels"])
     for key, stated in (("iterations", iterations), ("log_lik", log_lik),
-                        ("n_params", n_params), ("bic", bic_value)):
+                        ("n_params", n_params), ("bic", bic_value), ("warnings", warnings)):
         if stated != getattr(report, key):
             raise reader.error(key, f"is {stated!r}, but the report's other entries "
                                     f"give {getattr(report, key)!r}")

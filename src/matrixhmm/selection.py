@@ -64,18 +64,45 @@ class CellResult:
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """All cell results, the BIC winner and any grid-level warnings."""
+    """The cells of a grid, in grid order; the BIC winner, the failures and
+    the grid-level warnings are derived from them."""
 
     cells: tuple
-    best: tuple | None               # ((sigma, psi), K) of the BIC argmin
-    failures: tuple = ()
-    warnings: tuple = ()
+
+    def _best_cell(self) -> CellResult | None:
+        """The first ok cell with the smallest BIC (at n = I * T)."""
+        return min((c for c in self.cells if c.status == "ok"), key=lambda c: c.bic,
+                   default=None)
+
+    @property
+    def best(self) -> tuple | None:
+        """``((sigma, psi), K)`` of the BIC winner, or None when no cell is ok."""
+        cell = self._best_cell()
+        return None if cell is None else (cell.structure, cell.K)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(f"{structure_name(c.structure)} K={c.K}: {c.message}"
+                     for c in self.cells if c.status == "failed")
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """A warning when the winner differs at n = I, then one per ok cell
+        that did not converge (it stopped at ``max_iter`` iterations)."""
+        best = self._best_cell()
+        alt = best and bic_winner(self.cells, best.report.panel_dims[2])
+        lines = [] if alt is best else [
+            "winner differs under the alternate sample-size convention "
+            f"(n = I): {structure_name(alt.structure)} K={alt.K}"]
+        return (*lines, *(f"{structure_name(c.structure)} K={c.K} did not converge within "
+                          f"max_iter={c.report.iterations} iterations"
+                          for c in self.cells if c.status == "ok" and not c.report.converged))
 
     def best_report(self) -> ecm.FitReport:
-        for cell in self.cells:
-            if cell.status == "ok" and (cell.structure, cell.K) == self.best:
-                return cell.report
-        raise LookupError("no successful cell matches the winner")
+        cell = self._best_cell()
+        if cell is None:
+            raise LookupError("no cell of the grid is ok")
+        return cell.report
 
 
 def cell_seed(master_seed: int, pair: tuple[str, str], K: int) -> int:
@@ -116,41 +143,22 @@ def _map(fn, tasks, workers: int, config: "ecm.FitConfig") -> list:
 
 def bic_winner(cells, n_obs: int):
     """Cell minimizing BIC recomputed at the given sample size (ties: first)."""
-    ok = [c for c in cells if c.status == "ok"]
-    if not ok:
-        return None
-    return min(ok, key=lambda c: bic(c.log_lik, c.n_params, n_obs))
+    return min((c for c in cells if c.status == "ok"),
+               key=lambda c: bic(c.log_lik, c.n_params, n_obs), default=None)
 
 
 def run_grid(panel: MatrixPanel, grid: ModelGrid, workers: int = 1) -> SelectionReport:
     """Fit every grid cell, in-process or on a process pool.
 
-    Results are merged in grid order, so the report does not depend on the
-    worker count (wall-clock ``seconds`` aside).  A grid whose config has
-    an ``iter_hook`` needs ``workers=1``.
+    The report holds the cells in grid order, so it does not depend on the
+    worker count (wall-clock ``seconds`` aside); :class:`GridError` when no
+    cell is ok.  A grid whose config has an ``iter_hook`` needs ``workers=1``.
     """
     tasks = []
     for pair, K in grid.cells():
         config = replace(grid.config, seed=cell_seed(grid.config.seed, pair, K))
         tasks.append((panel, pair, K, config))
-    cells = _map(_fit_cell, tasks, workers, grid.config)
-
-    ok = [c for c in cells if c.status == "ok"]
-    failures = tuple(f"{structure_name(c.structure)} K={c.K}: {c.message}"
-                     for c in cells if c.status == "failed")
-    if not ok:
-        raise GridError("every grid cell failed:\n" + "\n".join(failures))
-
-    best_cell = bic_winner(cells, panel.I * panel.T)
-    warnings = []
-    alt = bic_winner(cells, panel.I)
-    if (alt.structure, alt.K) != (best_cell.structure, best_cell.K):
-        warnings.append(
-            "winner differs under the alternate sample-size convention "
-            f"(n = I): {structure_name(alt.structure)} K={alt.K}")
-    warnings.extend(
-        f"{structure_name(c.structure)} K={c.K} did not converge within "
-        f"max_iter={grid.config.max_iter} iterations"
-        for c in ok if not c.report.converged)
-    return SelectionReport(tuple(cells), (best_cell.structure, best_cell.K),
-                           failures, tuple(warnings))
+    report = SelectionReport(tuple(_map(_fit_cell, tasks, workers, grid.config)))
+    if report.best is None:
+        raise GridError("every grid cell failed:\n" + "\n".join(report.failures))
+    return report

@@ -233,8 +233,8 @@ def run_scenario(scenario: Scenario, config: FitConfig | None = None,
                  seed: int = DEFAULT_SEED, workers: int = 1) -> RecoveryReport:
     """Generate, fit and score every replicate of one scenario.
 
-    Each replicate's fit seed comes from ``seed``, so ``config.seed`` is not
-    read.  A config with an ``iter_hook`` needs ``workers=1``.
+    Each replicate's fit seed comes from ``seed``: a study driver does not
+    read ``config.seed``.  A config with an ``iter_hook`` needs ``workers=1``.
     """
     config = config or FitConfig()
     tasks = [(scenario, rep, seed, config) for rep in range(scenario.replicates)]
@@ -253,9 +253,11 @@ def timing_run(scenarios, modes=("sequential", "parallel"), workers: int = 2,
                ) -> list[TimingRow]:
     """Wall-clock seconds for fitting all 98 structures at each scenario's K.
 
-    One panel is generated per scenario (replicate 0); the clock runs
-    around the grid call only.  ``sequential`` uses one in-process worker,
-    ``parallel`` a pool of ``workers``; a single worker runs in-process too.
+    One panel is generated per scenario (replicate 0) and the grid's cell
+    seeds derive from ``seed`` too: a study driver does not read
+    ``config.seed``.  The clock runs around the grid call only.
+    ``sequential`` uses one in-process worker, ``parallel`` a pool of
+    ``workers``; a single worker runs in-process too.
     Every mode and its worker count are checked before anything runs, so a
     config with an ``iter_hook`` needs ``workers=1`` for ``parallel``.
     """
@@ -268,7 +270,7 @@ def timing_run(scenarios, modes=("sequential", "parallel"), workers: int = 2,
         selection._check_workers(mode_workers[mode], config)
     for scenario in scenarios:
         panel, _ = generate(scenario, 0, seed)
-        grid = selection.ModelGrid(Ks=(scenario.K,), config=config)
+        grid = selection.ModelGrid(Ks=(scenario.K,), config=replace(config, seed=seed))
         for mode in modes:
             start = time.perf_counter()
             selection.run_grid(panel, grid, workers=mode_workers[mode])

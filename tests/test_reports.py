@@ -77,10 +77,10 @@ def corrupt_report_text(case):
         lines[at] = "iterations: -1"
         at = next(n for n, ln in enumerate(lines) if ln.startswith("log_lik_trace:"))
         lines[at] = "log_lik_trace: " + lines[at].split()[-1]
-    elif case in ("log_lik", "n_params", "bic"):  # a stated value edited
+    elif case in ("log_lik", "n_params", "bic", "warnings"):  # a stated value edited
         at = next(n for n, ln in enumerate(lines) if ln.startswith(f"{case}:"))
         lines[at] = {"log_lik": "log_lik: 3.0", "n_params": "n_params: 99",
-                     "bic": "bic: 1.0"}[case]
+                     "bic": "bic: 1.0", "warnings": "warnings: overparameterized"}[case]
     elif case == "word-K":
         lines[lines.index("K: 2")] = "K: two"
     elif case == "word-entry":
@@ -143,7 +143,7 @@ def test_fit_report_reader_names_each_misplaced_or_invalid_entry(tmp_path, old, 
     assert str(info.value) == f"{path}: {problem}"
 
 
-@pytest.mark.parametrize("key", ["iterations", "log_lik", "n_params", "bic"])
+@pytest.mark.parametrize("key", ["iterations", "log_lik", "n_params", "bic", "warnings"])
 def test_fit_report_rejects_a_value_its_other_entries_contradict(tmp_path, key):
     path = tmp_path / "fit.txt"
     path.write_text(corrupt_report_text(key), encoding="utf-8")
@@ -202,13 +202,34 @@ def test_load_scenario_rejects_a_label_with_a_comma(tmp_path):
         reports.load_scenario(path)
 
 
+@pytest.mark.parametrize("load", [reports.load_fit_report, reports.load_scenario],
+                         ids=["fit-report", "scenario"])
+@pytest.mark.parametrize("block, rows, problem", [
+    ("Sigma", ["  1.5 0.9", "  0.0 1.5"], "Sigma is not symmetric in state 2"),
+    ("Psi", ["  1.0 2.0", "  2.0 1.0"], "Psi is not positive definite in state 2"),
+    ("Sigma", ["  nan 0.0", "  0.0 nan"], "sigmas has an entry that is not finite")],
+    ids=["asymmetric-Sigma", "indefinite-Psi", "nan-Sigma"])
+def test_readers_reject_an_invalid_covariance(tmp_path, load, block, rows, problem):
+    if load is reports.load_scenario:
+        text = reports.scenario_text(mh.get_scenario("EII-II/K2/T5/overlap2"))
+    else:
+        text = reports.fit_report_text(fitted_report())
+    lines = text.splitlines()
+    at = lines.index(f"{block}:", lines.index("state: 2")) + 1
+    lines[at:at + 2] = rows
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
 def test_selection_table_layout():
     report = mh.SelectionReport(
         cells=(mh.selection.CellResult(("EII", "II"), 1, "ok", -10.0, 5,
                                        30.0, 0.25),
                mh.selection.CellResult(("VVV", "VV"), 2, "failed", np.nan, 31,
-                                       np.nan, 0.1, message="boom")),
-        best=(("EII", "II"), 1))
+                                       np.nan, 0.1, message="boom")))
     lines = reports.selection_table_lines(report)
     assert lines[0] == "structure,K,log_lik,n_params,bic,status,seconds"
     assert lines[1].startswith("EII-II,1,-10.0,5,30.0,ok,")

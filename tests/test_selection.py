@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import matrixhmm as mh
 from matrixhmm import ecm
-from matrixhmm.selection import CellResult, bic_winner, cell_seed
+from matrixhmm.selection import CellResult, SelectionReport, bic_winner, cell_seed
+from oracles import fabricate_report
 
 
 def separated_panel(rng, I=30, T=4):
@@ -173,6 +176,14 @@ def test_bic_winner_and_alternate_convention():
     assert bic_winner([a, b], 10) is b
     failed = CellResult(("EEE", "EE"), 1, "failed", np.nan, 9, np.nan, 0.0)
     assert bic_winner([failed], 100) is None
+    # a grid report of the two cells, fitted at I = T = 10, carries the flip
+    fitted = fabricate_report(mh.get_scenario("EII-II/K2/T5/overlap2").truth, (2, 2, 10, 10))
+    report = SelectionReport(tuple(replace(c, report=fitted) for c in (a, b)))
+    assert report.best == (("EII", "II"), 1)
+    assert report.best_report() is fitted
+    assert report.failures == ()
+    assert report.warnings == ("winner differs under the alternate sample-size "
+                               "convention (n = I): VVV-VV K=1",)
 
 
 def test_run_grid_argument_validation():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,14 @@ def test_scenario_rejects_a_label_with_a_comma():
         mh.Scenario("study A, panel 1", ("EII", "II"), truth, I=10, T=3, replicates=1)
 
 
+def test_scenario_rejects_an_asymmetric_truth():
+    truth = mh.get_scenario("EII-II/K2/T5/overlap2").truth
+    sigmas = truth.sigmas.copy()
+    sigmas[1, 0, 1] = 0.9
+    with pytest.raises(ValueError, match="^Sigma is not symmetric in state 2$"):
+        mh.Scenario("asymmetric", ("EII", "II"), replace(truth, sigmas=sigmas), I=10, T=3)
+
+
 def test_recovery_mse_is_permutation_invariant():
     rng = np.random.default_rng(3)
     scen = mh.get_scenario("VVE-VE/K2/T5/overlap1")
@@ -260,6 +269,15 @@ def test_timing_run_checks_every_mode_before_fitting(monkeypatch):
     with pytest.raises(ValueError, match="^iter_hook cannot cross process boundaries; "
                                          "use workers=1$"):
         mh.timing_run([scen], modes=("sequential", "parallel"), workers=2, config=hooked)
+
+
+def test_timing_run_seeds_its_grids_from_the_study_seed(monkeypatch):
+    seeds = []
+    monkeypatch.setattr("matrixhmm.selection.run_grid",
+                        lambda panel, grid, workers: seeds.append(grid.config.seed))
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2")
+    mh.timing_run([scen], modes=("sequential",), seed=7, config=mh.FitConfig(seed=99))
+    assert seeds == [7]
 
 
 def test_import_leaves_scipy_unloaded():
