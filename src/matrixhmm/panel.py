@@ -9,8 +9,10 @@ and one cell per row; the cross-product of the four key columns must be complete
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -96,12 +98,12 @@ class MatrixPanel:
 
 
 def _ordered_labels(raw) -> list[str]:
-    """Distinct labels, sorted numerically when they all parse as numbers."""
-    labels = set(raw)
+    """Distinct labels, sorted as text, then stably by value when all are numbers."""
+    labels = sorted(set(raw))
     try:
         return sorted(labels, key=float)
     except ValueError:
-        return sorted(labels)
+        return labels
 
 
 def _labels_or_numbers(labels, n: int) -> tuple:
@@ -128,73 +130,86 @@ def _check_labels(labels, separator: str, name: str) -> None:
         seen.add(label)
 
 
+# The reader splits and codes the text in chunks of at least this many
+# characters.  On a Xeon, a 20,000-row file's traced peak was 3.7x its size at
+# 2**12, 4.0x at 2**14 and 7.2x at 2**17; read times differed within the noise.
+_CHUNK_CHARS = 1 << 12
+_PROBLEMS = ("line {n}: expected 5 fields, got {c}", "line {n}: could not parse value {f[4]!r}",
+             "line {n}: value {f[4]!r} is not finite", "duplicate cell (unit={f[0]}, "
+             "time={f[1]}, row_level={f[2]}, col_level={f[3]}) on line {n}")  # in check order
+
+
 def load_panel(path, delimiter: str = ",") -> MatrixPanel:
     """Read a long-format delimited file into a :class:`MatrixPanel`.
 
     The file must carry the header ``unit,time,row_level,col_level,value``
     and exactly one row per cell of the complete cross-product.  Unit and
     time labels are ordered numerically when all of them parse as numbers,
-    lexicographically otherwise.
+    lexicographically otherwise.  Every error message begins with the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    header = None
-    cells: dict[tuple, float] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(delimiter)]
-        if header is None:
-            header = tuple(fields)
-            if header != PANEL_COLUMNS:
-                raise ValueError(
-                    f"expected header {','.join(PANEL_COLUMNS)!r}, got {line.strip()!r}"
-                )
-            continue
-        if len(fields) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(fields)}")
-        unit, time, row, col, raw = fields
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        n = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}: line {n}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    del data
+    tables = ({}, {}, {}, {})  # label -> code, per key column
+    codes, values = [array("i") for _ in tables], array("d")
+    header, stop, start = None, None, 0
+    while start < len(text) and stop is None:
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        start, rows = end, list(filter(str.strip, text[start:end].splitlines()))
+        if header is None and rows:
+            header, rows = rows[0], rows[1:]
+            if tuple(f.strip() for f in header.split(delimiter)) != PANEL_COLUMNS:
+                raise ValueError(f"{path}: expected header {','.join(PANEL_COLUMNS)!r}, "
+                                 f"got {header.strip()!r}")
+        fields = [line.split(delimiter) for line in rows]
+        k = next((n for n, f in enumerate(fields) if len(f) != 5), len(fields))
+        cols, done = list(zip(*fields[:k])) or [()] * 5, len(values)
         try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"line {lineno}: could not parse value {raw!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: value {raw!r} is not finite")
-        key = (unit, time, row, col)
-        if key in cells:
-            raise ValueError(
-                f"duplicate cell (unit={unit}, time={time}, row_level={row}, "
-                f"col_level={col}) on line {lineno}"
-            )
-        cells[key] = value
+            values.extend(map(float, map(str.strip, cols[4])))
+        except ValueError:  # the values parsed so far stay, so their count finds the line
+            k = len(values) - done
+        for table, col, out in zip(tables, cols, codes):
+            col = list(map(str.strip, col[:k]))
+            table.update((label, m) for m, label in enumerate(set(col) - table.keys(), len(table)))
+            out.extend(map(table.__getitem__, col))
+        if k < len(fields):
+            stop = (done + k, int(len(fields[k]) == 5))
     if header is None:
-        raise ValueError("panel file is empty")
-    if not cells:
-        raise ValueError("panel file has no data rows")
+        raise ValueError(f"{path}: panel file is empty")
+    if not values and stop is None:
+        raise ValueError(f"{path}: panel file has no data rows")
 
-    units = _ordered_labels(k[0] for k in cells)
-    times = _ordered_labels(k[1] for k in cells)
-    rows = _ordered_labels(k[2] for k in cells)
-    cols = _ordered_labels(k[3] for k in cells)
-    # keys are distinct and drawn from the four label sets, so the count
-    # proves completeness; the walk only names the first missing cell
-    if len(cells) != len(units) * len(times) * len(rows) * len(cols):
-        for unit, time, row, col in product(units, times, rows, cols):
-            if (unit, time, row, col) not in cells:
-                raise ValueError(
-                    f"incomplete panel: missing cell (unit={unit}, time={time}, "
-                    f"row_level={row}, col_level={col})"
-                )
-
-    stack = np.empty((len(units), len(times), len(rows), len(cols)))
-    row_idx = {lab: n for n, lab in enumerate(rows)}
-    col_idx = {lab: n for n, lab in enumerate(cols)}
-    unit_idx = {lab: n for n, lab in enumerate(units)}
-    time_idx = {lab: n for n, lab in enumerate(times)}
-    for (unit, time, row, col), value in cells.items():
-        stack[unit_idx[unit], time_idx[time], row_idx[row], col_idx[col]] = value
-    return MatrixPanel(np.transpose(stack, (2, 3, 0, 1)), tuple(units), tuple(times))
+    labels = [_ordered_labels(table) for table in tables]
+    sizes = tuple(map(len, labels))
+    keys = [np.argsort([table[label] for label in labs])[np.frombuffer(c, np.int32)]
+            for table, labs, c in zip(tables, labels, codes)]  # each cell's place in label order
+    failures = [] if stop is None else [stop]
+    failures += [(row, 2) for row in np.flatnonzero(~np.isfinite(values))[:1]]
+    if complete := 0 < len(values) == math.prod(sizes):
+        flat = np.ravel_multi_index(keys, sizes)
+        complete = np.bincount(flat, minlength=len(values)).max() == 1
+    if failures or not complete:  # the first line that repeats an earlier cell
+        order = np.lexsort(keys)
+        same = np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
+        failures += [(row, 3) for row in np.sort(order[1:][same])[:1]]
+    if failures:
+        row, kind = min(failures)
+        n, line = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()][row + 1]
+        f = [field.strip() for field in line.split(delimiter)]
+        raise ValueError(f"{path}: " + _PROBLEMS[kind].format(n=n, c=len(f), f=f))
+    if not complete:  # distinct cells, fewer than the cross-product
+        present = set(zip(*(key.tolist() for key in keys)))
+        cell = next(c for c in product(*map(range, sizes)) if c not in present)
+        unit, time, row, col = (labs[c] for labs, c in zip(labels, cell))
+        raise ValueError(f"{path}: incomplete panel: missing cell (unit={unit}, time={time}, "
+                         f"row_level={row}, col_level={col})")
+    stack = np.empty(sizes)
+    stack.reshape(-1)[flat] = values
+    return MatrixPanel(np.transpose(stack, (2, 3, 0, 1)), tuple(labels[0]), tuple(labels[1]))
 
 
 def save_panel(panel: MatrixPanel, path, delimiter: str = ",") -> None:

@@ -179,6 +179,8 @@ def load_fit_report(path) -> FitReport:
         raise reader.error("converged", f"is not true or false: {converged!r}")
     iterations = reader.value("iterations", int)
     wall_time = reader.value("wall_time_s", float)
+    if not 0.0 <= wall_time < np.inf:
+        raise reader.error("wall_time_s", f"is {wall_time!r}, not a finite number >= 0")
     log_lik = reader.value("log_lik", float)
     n_params = reader.value("n_params", int)
     bic_value = reader.value("bic", float)
@@ -186,6 +188,8 @@ def load_fit_report(path) -> FitReport:
     params = reader.params(K, P, R)
     trace = np.array(reader.row("log_lik_trace", reader.expect("log_lik_trace"),
                                 max(iterations, 0) + 1))
+    if not np.all(np.isfinite(trace)):
+        raise reader.error("log_lik_trace", "has an entry that is not finite")
     decoded = reader.matrix("decoded", I, T, int)
     if np.any((decoded < 1) | (decoded > K)):
         raise reader.error("decoded", f"has a state label outside 1..{K}")

@@ -38,6 +38,8 @@ class Scenario:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.overlap_shift is not None and not np.isfinite(self.overlap_shift):
+            raise ValueError(f"overlap_shift must be finite, got {self.overlap_shift!r}")
         _check_labels((self.label,), ",", "label")  # a field of the comma-separated tables
         self.truth.validate()
 

@@ -260,3 +260,65 @@ def affine_image(X, params, A, B):
     image = mh.HmmParams(params.pi, params.Pi, A @ params.means @ B.T,
                          d * (A @ params.sigmas @ A.T), B @ params.psis @ B.T / d)
     return A @ X @ B.T, image
+
+
+_PANEL_HEADER = ("unit", "time", "row_level", "col_level", "value")
+
+
+def _label_order(raw):
+    """Distinct labels in numeric order when every one parses as a number,
+    labels of equal value in text order; text order otherwise."""
+    distinct = sorted(set(raw))
+    try:
+        return sorted(distinct, key=lambda label: (float(label), label))
+    except ValueError:
+        return distinct
+
+
+def reference_load_panel(path, delimiter=","):
+    """A long-format panel file read into a dict with one entry per cell.
+
+    Returns the (P, R, I, T) values with the unit and time labels, or raises
+    the ``ValueError`` of the first problem, without the path in front.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header, cells = None, {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(delimiter)]
+        if header is None:
+            header = tuple(fields)
+            if header != _PANEL_HEADER:
+                raise ValueError(f"expected header {','.join(_PANEL_HEADER)!r}, "
+                                 f"got {line.strip()!r}")
+            continue
+        if len(fields) != 5:
+            raise ValueError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+        *key, raw = fields
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"line {lineno}: could not parse value {raw!r}") from None
+        if value != value or value in (float("inf"), float("-inf")):
+            raise ValueError(f"line {lineno}: value {raw!r} is not finite")
+        if tuple(key) in cells:
+            unit, time, row, col = key
+            raise ValueError(f"duplicate cell (unit={unit}, time={time}, row_level={row}, "
+                             f"col_level={col}) on line {lineno}")
+        cells[tuple(key)] = value
+    if header is None:
+        raise ValueError("panel file is empty")
+    if not cells:
+        raise ValueError("panel file has no data rows")
+    axes = [_label_order(key[a] for key in cells) for a in range(4)]
+    values = np.empty([len(axis) for axis in axes])
+    for idx in itertools.product(*(range(len(axis)) for axis in axes)):
+        key = tuple(axis[n] for axis, n in zip(axes, idx))
+        if key not in cells:
+            unit, time, row, col = key
+            raise ValueError(f"incomplete panel: missing cell (unit={unit}, time={time}, "
+                             f"row_level={row}, col_level={col})")
+        values[idx] = cells[key]
+    return np.transpose(values, (2, 3, 0, 1)), tuple(axes[0]), tuple(axes[1])

@@ -1,10 +1,14 @@
 import pickle
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_load_panel
 from scipy.special import expit
 
 from matrixhmm import MatrixPanel, load_panel, logit_transform, save_panel
+from matrixhmm import panel as panel_module
 
 
 def write_panel_file(path, rows, header="unit,time,row_level,col_level,value"):
@@ -108,7 +112,108 @@ def test_load_rejects_a_short_row_and_a_file_without_data(tmp_path, text, messag
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_panel(path)
-    assert str(info.value) == message
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "panel.csv"
+    rows = full_rows()
+    path.write_bytes(("unit,time,row_level,col_level,value\n" + "\n".join(rows[:3])
+                      + "\n").encode() + "Forl\u00ec,1,1,1,0.5\n".encode("latin-1"))
+    with pytest.raises(ValueError) as info:
+        load_panel(path)
+    assert str(info.value) == f"{path}: line 5: byte 0xec is not UTF-8"
+    assert not isinstance(info.value, UnicodeError)
+
+
+def _sweep_files():
+    """(name, text, delimiter) for a small labelled panel under one corruption
+    or two, with numeric, lexicographic, mixed and equal-valued labels."""
+    header = "unit,time,row_level,col_level,value"
+    label_sets = {"numeric": (("10", "9", "2"), ("2004", "1999")),
+                  "lexicographic": (("b", "a", "c"), ("t2", "t1")),
+                  "mixed": (("1", "x", "10"), ("2", "1b")),
+                  "equal values": (("1.0", "01", "1"), ("2", "2e0"))}
+    bad_values = ("nan", "inf", "-inf", "1e999", "oops", "")
+    for kind, (units, times) in label_sets.items():
+        rows = [[u, t, str(p), str(r), repr(0.5 + n / 7)]
+                for n, (u, t, p, r) in enumerate((u, t, p, r) for u in units for t in times
+                                                 for p in (1, 2) for r in (1, 2))]
+
+        def text(rows, head=header, sep=",", end="\n"):
+            return end.join([head, *(sep.join(row) for row in rows)]) + end
+
+        def edit(j, change):
+            row = list(rows[j])
+            if change == "short":
+                return row[:-1]
+            if change == "long":
+                return row + ["0"]
+            return row[:4] + [change]
+
+        yield kind, text(rows), ","
+        yield f"{kind} header", text(rows, head="unit,time,row,col,value"), ","
+        yield f"{kind} blank lines", text(rows, end="\n \t\n\n"), ","
+        yield f"{kind} padded", text([[f" {f}\t\x1f" for f in row] for row in rows]), ","
+        yield f"{kind} crlf", text(rows, end="\r\n"), ","
+        yield f"{kind} semicolon", text(rows, head=header.replace(",", ";"), sep=";"), ";"
+        yield f"{kind} semicolon read with commas", text(rows, sep=";"), ","
+        for j in range(len(rows)):
+            yield f"{kind} drop {j}", text(rows[:j] + rows[j + 1:]), ","
+            yield f"{kind} repeat {j}", text(rows[:j + 1] + rows[j:]), ","
+            yield f"{kind} repeat {j} last", text(rows + [rows[j]]), ","
+            for change in ("short", "long", *bad_values):
+                changed = rows[:j] + [edit(j, change)] + rows[j + 1:]
+                yield f"{kind} {change!r} at {j}", text(changed), ","
+            # two problems: the first one in file order is the one reported
+            i = len(rows) - 1 - j
+            for first, second in (("short", "nan"), ("oops", "long"), ("inf", "")):
+                both = list(rows)
+                both[j], both[i] = edit(j, first), edit(i, second)
+                yield f"{kind} {first!r} at {j}, {second!r} at {i}", text(both), ","
+            both = rows[:j] + [edit(j, "nan")] + rows[j + 1:] + [rows[i]]
+            yield f"{kind} 'nan' at {j}, repeat {i} last", text(both), ","
+            yield f"{kind} repeat {j} last as 'nan'", text(rows + [edit(j, "nan")]), ","
+            yield f"{kind} repeat {j} and {i} last", text(rows + [rows[j], rows[i]]), ","
+
+
+@pytest.mark.parametrize("chunk", [1, panel_module._CHUNK_CHARS], ids=["line", "default"])
+def test_load_agrees_with_the_dict_reader_on_every_corruption(tmp_path, monkeypatch, chunk):
+    # a chunk of one character splits the text after every line
+    monkeypatch.setattr(panel_module, "_CHUNK_CHARS", chunk)
+    began = time.perf_counter()
+    count = 0
+    for count, (name, text, delimiter) in enumerate(_sweep_files(), start=1):
+        path = tmp_path / f"{count}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_load_panel(path, delimiter)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                load_panel(path, delimiter)
+            assert str(info.value) == f"{path}: {exc}", name
+            continue
+        panel = load_panel(path, delimiter)
+        values, units, times = expected
+        assert np.array_equal(panel.values, values), name
+        assert (panel.unit_labels, panel.time_labels) == (units, times), name
+    assert count > 1600
+    assert time.perf_counter() - began < 10.0
+
+
+def test_load_peak_memory_stays_within_the_budget(tmp_path):
+    # a 20,000-row file, 573 kB; a dict of one entry per cell peaked at 9.2 times that
+    rng = np.random.default_rng(22)
+    path = tmp_path / "panel.csv"
+    save_panel(MatrixPanel(rng.normal(size=(4, 5, 100, 10))), path)
+    load_panel(path)  # first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        load_panel(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * path.stat().st_size, peak
 
 
 def test_load_skips_blank_lines(tmp_path):
@@ -148,6 +253,16 @@ def test_load_orders_numeric_labels(tmp_path):
     assert panel.time_labels == ("2004", "2009", "2010")
     assert panel.values[0, 0, 0, 0] == pytest.approx(2004.11)
     assert panel.values[0, 0, 0, 2] == pytest.approx(2010.11)
+
+
+def test_load_orders_labels_of_equal_value_as_text(tmp_path):
+    # "1", "01" and "1.0" are distinct labels of one value; they once came
+    # back in the order the process's string hashes gave a set
+    path = tmp_path / "panel.csv"
+    write_panel_file(path, [f"{u},1,1,1,{n}" for n, u in enumerate(("1.0", "1", "01", "0.5"))])
+    panel = load_panel(path)
+    assert panel.unit_labels == ("0.5", "01", "1", "1.0")
+    assert np.array_equal(panel.values.ravel(), [3.0, 2.0, 1.0, 0.0])
 
 
 def test_logit_center_and_inverse():

@@ -151,6 +151,30 @@ def test_fit_report_rejects_a_value_its_other_entries_contradict(tmp_path, key):
         reports.load_fit_report(path)
 
 
+@pytest.mark.parametrize("key, raw, problem", [
+    ("wall_time_s", "nan", "wall_time_s is nan, not a finite number >= 0"),
+    ("wall_time_s", "-5.0", "wall_time_s is -5.0, not a finite number >= 0"),
+    ("wall_time_s", "inf", "wall_time_s is inf, not a finite number >= 0"),
+    ("log_lik_trace", "nan", "log_lik_trace has an entry that is not finite"),
+    ("log_lik_trace", "-inf", "log_lik_trace has an entry that is not finite"),
+])
+def test_fit_report_rejects_a_bad_wall_time_or_first_trace_entry(tmp_path, key, raw,
+                                                                 problem):
+    # only the trace's last entry is checked against log_lik, so the first
+    # one has to be checked on its own
+    lines = reports.fit_report_text(fitted_report()).splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith(f"{key}:"))
+    entries = lines[at].split()
+    assert key == "wall_time_s" or len(entries) > 2
+    entries[1] = raw
+    lines[at] = " ".join(entries)
+    path = tmp_path / "fit.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reports.load_fit_report(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
 @pytest.mark.parametrize("label, problem", [("Reggio, Calabria", "contains the delimiter ','"),
                                             (" u2", "has leading or trailing blanks"),
                                             ("u1", "appears more than once")])
@@ -189,6 +213,20 @@ def test_scenario_file_errors_name_the_file_and_key(tmp_path, case, key):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"scenario.txt: {key} "):
         reports.load_scenario(path)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_scenario_overlap_shift_must_be_finite(tmp_path, raw):
+    scen = mh.get_scenario("EII-II/K2/T5/overlap2", replicates=3)
+    with pytest.raises(ValueError, match=f"overlap_shift must be finite, got {raw}"):
+        replace(scen, overlap_shift=float(raw))
+    lines = reports.scenario_text(scen).splitlines()
+    lines[lines.index("overlap_shift: 5.0")] = f"overlap_shift: {raw}"
+    path = tmp_path / "scenario.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reports.load_scenario(path)
+    assert str(info.value) == f"{path}: overlap_shift must be finite, got {float(raw)!r}"
 
 
 def test_load_scenario_rejects_a_label_with_a_comma(tmp_path):
